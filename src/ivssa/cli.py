@@ -37,7 +37,7 @@ from .forecasting import (
     select_params_oos,
 )
 from .io import json_dumps, read_csv, write_json, write_table_csv
-from .reconstruction import Grouping, _antidiagonal_means, _series_block, trendline
+from .reconstruction import Grouping, trendline
 from .simulation import (
     METHODS,
     ScenarioConfig,
@@ -115,12 +115,6 @@ def _stack_mode(args, n_series: int) -> StackingMode:
     return StackingMode(args.stack)
 
 
-def _build_decomposition(series, window, mode, rank_eps):
-    if len(series) == 1:
-        return decompose(series[0], window, rank_eps=rank_eps)
-    return decompose_stacked(series, window, mode=mode, rank_eps=rank_eps)
-
-
 def _out_stem(out: str) -> str:
     stem, ext = os.path.splitext(out)
     return stem if ext.lower() == ".json" else out
@@ -148,22 +142,14 @@ def _series_channels(dec, m: int, series_index: int):
     """Per-component reconstructed channels of one series, plus their
     running totals (summed in component order, so the emitted parts add up
     to the emitted trendline exactly)."""
-    s = series_index - 1
-    n = dec.series_length
-    ta = np.zeros(n)
-    tb = np.zeros(n)
+    ca, cb = dec.component_channels(range(1, m + 1), series_index)
     components = []
-    for i in range(1, m + 1):
-        ga, gb = dec.grouped_arrays((i,))
-        ca = _antidiagonal_means(_series_block(ga, dec, s))
-        cb = _antidiagonal_means(_series_block(gb, dec, s))
-        ta = ta + ca
-        tb = tb + cb
-        lo, hi = phi_arrays(ca, cb)
+    for i in range(m):
+        lo, hi = phi_arrays(ca[i], cb[i])
         components.append(
-            {"index": i, "lo": lo, "hi": hi, "raw_a": ca, "raw_b": cb}
+            {"index": i + 1, "lo": lo, "hi": hi, "raw_a": ca[i], "raw_b": cb[i]}
         )
-    return components, ta, tb
+    return components, np.cumsum(ca, axis=0)[-1], np.cumsum(cb, axis=0)[-1]
 
 
 def _selection_doc(sel) -> dict:
@@ -202,7 +188,7 @@ def cmd_decompose(args) -> None:
         oos = select_params_oos(series[0], l_grid=l_grid, p=args.horizon)
         window = oos.window
         oos_doc = _oos_doc(oos)
-    dec = _build_decomposition(series, window, mode, args.rank_eps)
+    dec = decompose_stacked(series, window, mode=mode, rank_eps=args.rank_eps)
     per_series = []
     for idx, raw in enumerate(series, start=1):
         sel_doc = None
@@ -282,7 +268,7 @@ def cmd_select(args) -> None:
     series = _load_input(args.input)
     mode = _stack_mode(args, len(series))
     window = _parse_window(args.window)
-    dec = _build_decomposition(series, window, mode, args.rank_eps)
+    dec = decompose_stacked(series, window, mode=mode, rank_eps=args.rank_eps)
     per_series = []
     rows = []
     for idx, raw in enumerate(series, start=1):
@@ -336,17 +322,13 @@ def cmd_forecast(args) -> None:
         window = oos.window
         m = oos.m
         oos_doc = _oos_doc(oos)
-        dec = decompose(y, window, rank_eps=args.rank_eps)
-    else:
-        dec = decompose(y, window, rank_eps=args.rank_eps)
-        if kind == "periodogram":
-            sel = select_from_decomposition(
-                dec, y, alpha=args.alpha, max_m=args.max_m
-            )
-            m = sel.m
-            sel_doc = _selection_doc(sel)
-        else:
-            m = fixed_m
+    dec = decompose(y, window, rank_eps=args.rank_eps)
+    if kind == "periodogram":
+        sel = select_from_decomposition(dec, y, alpha=args.alpha, max_m=args.max_m)
+        m = sel.m
+        sel_doc = _selection_doc(sel)
+    elif kind == "fixed":
+        m = fixed_m
     grouping = Grouping.leading(m)
     grouping.validate(dec.d)
     coef = recurrence_coefficients(dec.eig, grouping)

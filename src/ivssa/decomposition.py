@@ -59,38 +59,9 @@ def symbolic_covariance(y: PairMatrix) -> np.ndarray:
 def stacked_covariance(
     series: Sequence[IntervalSeries], window: int, mode: StackingMode
 ) -> np.ndarray:
-    """Covariance for stacked decomposition.
-
-    Vertical: the (l*D) x (l*D) block matrix of all cross-covariance blocks.
-    Horizontal: the l x l sum of per-series diagonal blocks.  Both agree with
-    ``symbolic_covariance`` applied to the correspondingly stacked trajectory
-    matrix.
-    """
-    blocks = [trajectory(s, window) for s in series]
-    d = len(blocks)
-    if d == 1 or mode is StackingMode.UNIVARIATE:
-        if d != 1:
-            raise ParameterError("univariate mode is only valid for a single series")
-        return symbolic_covariance(blocks[0])
-    l = blocks[0].n_rows
-    if mode is StackingMode.VERTICAL:
-        s = np.empty((l * d, l * d))
-        for i in range(d):
-            for j in range(i, d):
-                blk = pair_cross_covariance(blocks[i], blocks[j])
-                s[i * l : (i + 1) * l, j * l : (j + 1) * l] = blk
-                if j > i:
-                    s[j * l : (j + 1) * l, i * l : (i + 1) * l] = blk.T
-        upper = np.triu(s)
-        s = upper + np.triu(s, 1).T
-    else:
-        s = np.zeros((l, l))
-        for blk in blocks:
-            s += symbolic_covariance(blk)
-        upper = np.triu(s)
-        s = upper + np.triu(s, 1).T
-    s.flags.writeable = False
-    return s
+    """Covariance for stacked decomposition: ``symbolic_covariance`` of the
+    stacked trajectory matrix, (l*D) x (l*D) vertical and l x l horizontal."""
+    return symbolic_covariance(stack(series, window, mode))
 
 
 @dataclass(frozen=True)
@@ -201,6 +172,45 @@ class Decomposition:
         u = self.eig.vectors[:, idx]
         return u @ self._wa[idx], u @ self._wb[idx]
 
+    def series_block(self, series_index: int) -> tuple[slice, slice]:
+        """Rows and columns of the trajectory matrix that hold one 1-based
+        series: a row band for vertical stacking, a column band for horizontal."""
+        if not 1 <= series_index <= self.n_series:
+            raise ParameterError(
+                f"series index must lie in [1, {self.n_series}], got {series_index}"
+            )
+        s = series_index - 1
+        if self.mode is StackingMode.VERTICAL:
+            return slice(s * self.window, (s + 1) * self.window), slice(None)
+        if self.mode is StackingMode.HORIZONTAL:
+            return slice(None), slice(s * self.k, (s + 1) * self.k)
+        return slice(None), slice(None)
+
+    def component_channels(
+        self, indices: Sequence[int], series_index: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal-averaged endpoint channels (before phi) of single components.
+
+        Row r of each (len(indices), n) array belongs to the 1-based component
+        i = indices[r]: the antidiagonal means of u_i w_i' over the series'
+        block, which for a rank-one matrix are the full convolution of u_i
+        with w_i divided by the antidiagonal lengths.  Prefix sums of the rows
+        (``np.cumsum(axis=0)``) give grouped trendlines.
+        """
+        rows, cols = self.series_block(series_index)
+        n = self.series_length
+        t = np.arange(n)
+        counts = np.minimum(np.minimum(t + 1, n - t), min(self.window, self.k))
+        ca = np.empty((len(indices), n))
+        cb = np.empty((len(indices), n))
+        for r, i in enumerate(indices):
+            if not 1 <= i <= self.d:
+                raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
+            u = self.eig.vectors[rows, i - 1]
+            ca[r] = np.convolve(u, self._wa[i - 1, cols]) / counts
+            cb[r] = np.convolve(u, self._wb[i - 1, cols]) / counts
+        return ca, cb
+
 
 def _build(
     mat: PairMatrix,
@@ -259,5 +269,6 @@ def decompose_stacked(
     if window is None:
         window = default_window(n, len(series), mode)
     mat = stack(series, window, mode)
-    s = stacked_covariance(series, window, mode)
-    return _build(mat, mode, int(window), len(series), n, s, rank_eps)
+    return _build(
+        mat, mode, int(window), len(series), n, symbolic_covariance(mat), rank_eps
+    )

@@ -19,7 +19,7 @@ from .decomposition import (
     decompose,
 )
 from .parallel import run_tasks
-from .reconstruction import Grouping, _antidiagonal_means
+from .reconstruction import Grouping
 
 #: nu^2 at or above this is treated as a vertical eigenspace (no recurrence).
 VERTICALITY_TOL = 1e-10
@@ -158,16 +158,9 @@ def _oos_cell(args) -> tuple[int, int, dict[int, float | None]]:
             out[m] = None
     if not feasible:
         return window, w, out
-    snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    ta = np.zeros(w)
-    tb = np.zeros(w)
-    want = set(feasible)
-    for i in range(1, max(feasible) + 1):
-        ga, gb = dec.grouped_arrays((i,))
-        ta += _antidiagonal_means(ga)
-        tb += _antidiagonal_means(gb)
-        if i in want:
-            snaps[i] = (ta.copy(), tb.copy())
+    ca, cb = dec.component_channels(range(1, max(feasible) + 1))
+    ta = np.cumsum(ca, axis=0)
+    tb = np.cumsum(cb, axis=0)
     true_lo = y_lo[w : w + p]
     true_hi = y_hi[w : w + p]
     for m in feasible:
@@ -176,7 +169,7 @@ def _oos_cell(args) -> tuple[int, int, dict[int, float | None]]:
         except VerticalityError:
             out[m] = None
             continue
-        lo, hi = phi_arrays(*snaps[m])
+        lo, hi = phi_arrays(ta[m - 1], tb[m - 1])
         fc = forecast_recurrent(IntervalSeries(lo, hi), coef, p)
         err = np.maximum(
             np.abs(true_lo - fc.values.lo), np.abs(true_hi - fc.values.hi)

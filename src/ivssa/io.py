@@ -216,7 +216,12 @@ def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         v = float(obj)
-        out.append(format(v, f".{JSON_DIGITS}g") if math.isfinite(v) else "null")
+        if not math.isfinite(v):
+            out.append("null")
+            return
+        text = format(v, f".{JSON_DIGITS}g")
+        # keep integral values (0.0, 3.0) typed as floats when read back
+        out.append(text if "." in text or "e" in text else text + ".0")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
@@ -248,8 +253,8 @@ def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
 
 
 def json_dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text: .17g floats, NaN/inf as null, insertion
-    order preserved."""
+    """Deterministic JSON text: .17g floats that always carry a '.' or an
+    exponent, NaN/inf as null, insertion order preserved."""
     out: list[str] = []
     _emit_json(obj, out, indent, 0)
     return "".join(out)

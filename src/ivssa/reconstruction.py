@@ -19,7 +19,6 @@ from .core import (
     phi_arrays,
 )
 from .decomposition import Decomposition
-from .embedding import StackingMode
 
 
 @dataclass(frozen=True)
@@ -101,52 +100,16 @@ def extract_series(
     y_grouped: PairMatrix, dec: Decomposition, series_index: int
 ) -> PairMatrix:
     """Per-series block of a grouped matrix: rows for vertical stacking, columns for horizontal."""
-    if not 1 <= series_index <= dec.n_series:
-        raise ParameterError(
-            f"series index must lie in [1, {dec.n_series}], got {series_index}"
-        )
-    s = series_index - 1
-    if dec.mode is StackingMode.VERTICAL:
-        l = dec.window
-        return PairMatrix(
-            y_grouped.a[s * l : (s + 1) * l], y_grouped.b[s * l : (s + 1) * l]
-        )
-    if dec.mode is StackingMode.HORIZONTAL:
-        k = dec.k
-        return PairMatrix(
-            y_grouped.a[:, s * k : (s + 1) * k], y_grouped.b[:, s * k : (s + 1) * k]
-        )
-    return y_grouped
-
-
-def _series_block(arr: np.ndarray, dec: Decomposition, s: int) -> np.ndarray:
-    if dec.mode is StackingMode.VERTICAL:
-        l = dec.window
-        return arr[s * l : (s + 1) * l]
-    if dec.mode is StackingMode.HORIZONTAL:
-        k = dec.k
-        return arr[:, s * k : (s + 1) * k]
-    return arr
-
-
-def _trendline_for(
-    dec: Decomposition, grouping: Grouping, series_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-phi pair series of one series' grouped reconstruction."""
-    grouping.validate(dec.d)
-    ga, gb = dec.grouped_arrays(grouping.indices)
-    s = series_index - 1
-    return (
-        _antidiagonal_means(_series_block(ga, dec, s)),
-        _antidiagonal_means(_series_block(gb, dec, s)),
-    )
+    rows, cols = dec.series_block(series_index)
+    return PairMatrix(y_grouped.a[rows, cols], y_grouped.b[rows, cols])
 
 
 def trendline(
     dec: Decomposition, groupings: Sequence[Grouping] | Grouping
 ) -> list[IntervalSeries]:
     """Interval trendline per series; one grouping per series (a single
-    grouping is applied to every series)."""
+    grouping is applied to every series).  Components are summed in
+    grouping order, the same way every prefix in the package is summed."""
     if isinstance(groupings, Grouping):
         groupings = [groupings] * dec.n_series
     if len(groupings) != dec.n_series:
@@ -155,8 +118,9 @@ def trendline(
         )
     out = []
     for s, g in enumerate(groupings, start=1):
-        ga, gb = _trendline_for(dec, g, s)
-        lo, hi = phi_arrays(ga, gb)
+        g.validate(dec.d)
+        ca, cb = dec.component_channels(g.indices, s)
+        lo, hi = phi_arrays(np.cumsum(ca, axis=0)[-1], np.cumsum(cb, axis=0)[-1])
         out.append(IntervalSeries(lo, hi))
     return out
 
@@ -192,20 +156,18 @@ def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:
     per series for stacked decompositions."""
     if not 1 <= count <= dec.d:
         raise ParameterError(f"count must lie in [1, {dec.d}], got {count}")
-    comps = []
-    pairs = []
-    for i in range(1, count + 1):
-        ga_full, gb_full = dec.grouped_arrays((i,))
-        per_series = []
-        per_pairs = []
-        for s in range(dec.n_series):
-            ga = _antidiagonal_means(_series_block(ga_full, dec, s))
-            gb = _antidiagonal_means(_series_block(gb_full, dec, s))
-            lo, hi = phi_arrays(ga, gb)
-            per_series.append(IntervalSeries(lo, hi))
-            ga.flags.writeable = False
-            gb.flags.writeable = False
-            per_pairs.append((ga, gb))
-        comps.append(tuple(per_series))
-        pairs.append(tuple(per_pairs))
-    return ErcSet(components=tuple(comps), pairs=tuple(pairs), source=dec)
+    channels = [
+        dec.component_channels(range(1, count + 1), s)
+        for s in range(1, dec.n_series + 1)
+    ]
+    for ca, cb in channels:
+        ca.flags.writeable = False
+        cb.flags.writeable = False
+    pairs = tuple(
+        tuple((ca[i], cb[i]) for ca, cb in channels) for i in range(count)
+    )
+    comps = tuple(
+        tuple(IntervalSeries(*phi_arrays(ga, gb)) for ga, gb in per_series)
+        for per_series in pairs
+    )
+    return ErcSet(components=comps, pairs=pairs, source=dec)

@@ -24,7 +24,6 @@ from .core import (
 from .decomposition import Decomposition, decompose, decompose_stacked
 from .embedding import StackingMode
 from .parallel import run_tasks
-from .reconstruction import _antidiagonal_means, _series_block
 from .spectral import select_from_decomposition
 
 #: Method labels: separate univariate fits, vertical stack, horizontal stack.
@@ -140,7 +139,6 @@ def _prefix_hr(
     m_list: Sequence[int],
 ) -> dict[int, tuple[float, ...] | None]:
     """Per-series HR of every leading-m trendline, sharing one prefix scan."""
-    n = dec.series_length
     out: dict[int, tuple[float, ...] | None] = {}
     feasible = [m for m in m_list if m <= dec.d]
     for m in m_list:
@@ -148,22 +146,17 @@ def _prefix_hr(
             out[m] = None
     if not feasible:
         return out
-    want = set(feasible)
-    ta = [np.zeros(n) for _ in range(dec.n_series)]
-    tb = [np.zeros(n) for _ in range(dec.n_series)]
-    for i in range(1, max(feasible) + 1):
-        ga, gb = dec.grouped_arrays((i,))
-        for s in range(dec.n_series):
-            ta[s] += _antidiagonal_means(_series_block(ga, dec, s))
-            tb[s] += _antidiagonal_means(_series_block(gb, dec, s))
-        if i in want:
-            hrs = []
-            for s in range(dec.n_series):
-                lo, hi = phi_arrays(ta[s], tb[s])
-                hrs.append(
-                    hausdorff_residual_mean(truths[s], IntervalSeries(lo, hi))
-                )
-            out[i] = tuple(hrs)
+    prefixes = []
+    for s in range(1, dec.n_series + 1):
+        ca, cb = dec.component_channels(range(1, max(feasible) + 1), s)
+        prefixes.append((np.cumsum(ca, axis=0), np.cumsum(cb, axis=0)))
+    for m in feasible:
+        out[m] = tuple(
+            hausdorff_residual_mean(
+                truth, IntervalSeries(*phi_arrays(ta[m - 1], tb[m - 1]))
+            )
+            for truth, (ta, tb) in zip(truths, prefixes)
+        )
     return out
 
 

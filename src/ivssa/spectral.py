@@ -19,7 +19,6 @@ from .core import (
     phi_arrays,
 )
 from .decomposition import Decomposition, decompose
-from .reconstruction import _antidiagonal_means, _series_block
 
 #: Residuals below this fraction of the series scale count as a perfect fit.
 PERFECT_FIT_RTOL = 1e-10
@@ -230,14 +229,12 @@ def select_from_decomposition(
     cap = max(1, min(cap, dec.d))
     crit = ks_critical_value(alpha)
     scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
-    s = series_index - 1
-    ta = np.zeros(len(y))
-    tb = np.zeros(len(y))
     trace: list[float] = []
     for i in range(1, cap + 1):
-        ga, gb = dec.grouped_arrays((i,))
-        ta += _antidiagonal_means(_series_block(ga, dec, s))
-        tb += _antidiagonal_means(_series_block(gb, dec, s))
+        # one component per step, so an early stop skips the rest; summed in
+        # the order np.cumsum uses, so prefix i matches every other trendline
+        ca, cb = dec.component_channels((i,), series_index)
+        ta, tb = (ca[0], cb[0]) if i == 1 else (ta + ca[0], tb + cb[0])
         lo, hi = phi_arrays(ta, tb)
         ks, accepted, perfect = residual_whiteness(
             y, lo, hi, crit, center=center, scale=scale

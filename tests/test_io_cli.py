@@ -168,6 +168,15 @@ class TestJson:
         text = json_dumps({"v": values})
         assert json.loads(text)["v"] == values
 
+    def test_integral_floats_stay_floats(self):
+        for value in (0.0, -0.0, 3.0, 1e20, np.float64(-2.0)):
+            text = json_dumps(value)
+            back = json.loads(text)
+            assert type(back) is float and back == value, text
+        assert json_dumps(-0.0) == "-0.0"
+        assert json.loads(json_dumps({"n": 3, "x": 3.0})) == {"n": 3, "x": 3.0}
+        assert isinstance(json.loads(json_dumps({"x": 3.0}))["x"], float)
+
     def test_non_finite_to_null(self):
         text = json_dumps([math.nan, math.inf, -math.inf])
         assert json.loads(text) == [None, None, None]

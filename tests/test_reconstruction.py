@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import ivssa.spectral
 from ivssa import (
     Grouping,
     ParameterError,
@@ -16,11 +19,18 @@ from ivssa import (
     hankelize_pairs,
     is_hankel,
     minkowski_sub,
+    phi_arrays,
+    read_csv,
     reconstruct_ercs,
+    select_from_decomposition,
+    simulate_scenario,
+    ScenarioConfig,
     trajectory,
     trendline,
+    write_series_csv,
 )
-from helpers import make_rng, random_pair_matrix, random_series
+from ivssa.cli import main as cli_main
+from helpers import make_rng, random_pair_matrix, random_series, structured_series
 from oracles import diag_avg_loop
 
 
@@ -227,3 +237,92 @@ class TestErcs:
             reconstruct_ercs(dec, 0)
         with pytest.raises(ParameterError):
             reconstruct_ercs(dec, dec.d + 1)
+
+
+def _fit(mode: str, rng, n: int = 17):
+    if mode == "univariate":
+        return decompose(random_series(rng, n), 6)
+    xs = [random_series(rng, n) for _ in range(2)]
+    return decompose_stacked(xs, 5, mode=StackingMode(mode))
+
+
+class TestComponentChannels:
+    @pytest.mark.parametrize("mode", ["univariate", "vertical", "horizontal"])
+    def test_rows_match_loop_oracle(self, mode):
+        dec = _fit(mode, make_rng(18))
+        for s in range(1, dec.n_series + 1):
+            rows, cols = dec.series_block(s)
+            ca, cb = dec.component_channels(range(1, dec.d + 1), s)
+            assert ca.shape == cb.shape == (dec.d, dec.series_length)
+            for r in range(dec.d):
+                y = dec.elementary_matrix(r + 1)
+                want_a = diag_avg_loop(y.a[rows, cols])
+                want_b = diag_avg_loop(y.b[rows, cols])
+                scale = max(np.abs(want_a).max(), np.abs(want_b).max())
+                assert np.allclose(ca[r], want_a, rtol=1e-12, atol=1e-13 * scale)
+                assert np.allclose(cb[r], want_b, rtol=1e-12, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("mode", ["univariate", "vertical", "horizontal"])
+    def test_series_block_shape(self, mode):
+        dec = _fit(mode, make_rng(19))
+        for s in range(1, dec.n_series + 1):
+            rows, cols = dec.series_block(s)
+            assert dec.trajectory.a[rows, cols].shape == (dec.window, dec.k)
+
+    def test_bounds(self):
+        dec = _fit("vertical", make_rng(20))
+        with pytest.raises(ParameterError):
+            dec.series_block(3)
+        with pytest.raises(ParameterError):
+            dec.component_channels((1,), 0)
+        with pytest.raises(ParameterError):
+            dec.component_channels((dec.d + 1,))
+        with pytest.raises(ParameterError):
+            dec.component_channels((0,))
+
+
+class TestOnePrefixSum:
+    """The CLI document, ``trendline`` and the selection scan sum the same
+    component channels in the same order, so their trendlines agree bitwise."""
+
+    @pytest.mark.parametrize("mode", ["univariate", "vertical", "horizontal"])
+    def test_trendlines_bitwise_equal(self, mode, tmp_path, monkeypatch):
+        path = str(tmp_path / "in.csv")
+        if mode == "univariate":
+            write_series_csv(path, structured_series(60, seed=12, noise=0.3))
+        else:
+            data = simulate_scenario(ScenarioConfig.scenario_a(60, seed=3))
+            write_series_csv(path, [data.x, data.y])
+        out = str(tmp_path / "out.json")
+        stack = "horizontal" if mode == "horizontal" else "vertical"
+        argv = ["decompose", "--input", path, "--out", out, "--stack", stack]
+        assert cli_main(argv) == 0
+        with open(out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        series = read_csv(path)
+        dec = decompose_stacked(series, mode=StackingMode(doc["params"]["mode"]))
+        assert dec.window == doc["params"]["window"]
+
+        scanned = []
+        whiteness = ivssa.spectral.residual_whiteness
+
+        def record(y, lo, hi, *args, **kwargs):
+            scanned.append((lo.copy(), hi.copy()))
+            return whiteness(y, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(ivssa.spectral, "residual_whiteness", record)
+        for s, (y, rec) in enumerate(zip(series, doc["series"]), start=1):
+            m = rec["m"]
+            assert m >= 2  # a single component is trivially summed alike
+            scanned.clear()
+            assert select_from_decomposition(dec, y, series_index=s).m == m
+            doc_lo, doc_hi = phi_arrays(
+                np.array(rec["trendline"]["raw_a"]), np.array(rec["trendline"]["raw_b"])
+            )
+            for i, (scan_lo, scan_hi) in enumerate(scanned, start=1):
+                trend = trendline(dec, Grouping.leading(i))[s - 1]
+                assert trend.lo.tobytes() == scan_lo.tobytes()
+                assert trend.hi.tobytes() == scan_hi.tobytes()
+            assert doc_lo.tobytes() == scanned[-1][0].tobytes()
+            assert doc_hi.tobytes() == scanned[-1][1].tobytes()
+            assert np.array(rec["trendline"]["lo"]).tobytes() == doc_lo.tobytes()
