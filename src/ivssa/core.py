@@ -101,6 +101,16 @@ def phi_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(x, y), np.maximum(x, y)
 
 
+def symbolic_channels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real channels (mid, radius/sqrt(3)) of endpoint arrays a and b.
+
+    With C = (a + b)/2 and R = (b - a)/2, the symbolic weighting of endpoint
+    products is a plain real product of channels:
+    (2 a a' + a b' + b a' + 2 b b')/6 = C C' + R R'/3.
+    """
+    return 0.5 * (a + b), (b - a) * (0.5 / np.sqrt(3.0))
+
+
 @dataclass(frozen=True)
 class PairMatrix:
     """Dense matrix of ordered pairs, stored as two real grids of equal shape.

@@ -1,9 +1,11 @@
 """Symbolic covariance, its eigendecomposition, and elementary pair matrices.
 
 The covariance of two pair matrices weighs the endpoint cross-products
-2:1:1:2 (the symbolic-data covariance, kept up to its printed constant);
-its eigenbasis decomposes the trajectory matrix into rank-one pair
-matrices whose partial sums reconstruct the signal.
+2:1:1:2 (the symbolic-data covariance, kept up to its printed constant).
+In the real channels of ``symbolic_channels``, mid C and radius R, that is
+S = C C' + R R'/3 = Z Z' with Z = [C, R/sqrt(3)], so interval SSA is real
+two-channel SSA.  The eigenbasis of S decomposes the trajectory matrix
+into rank-one pair matrices whose partial sums reconstruct the signal.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .core import (
     PairMatrix,
     ParameterError,
     ShapeError,
+    symbolic_channels,
 )
 from .embedding import StackingMode, default_window, stack, trajectory
 
@@ -29,29 +32,32 @@ DEFAULT_RANK_EPS = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
+def _channel_matrix(x: PairMatrix) -> np.ndarray:
+    """Z = [C, R/sqrt(3)]: each row of x as its two channels side by side."""
+    return np.hstack(symbolic_channels(x.a, x.b))
+
+
 def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
     """Cross-covariance block between the rows of two pair matrices.
 
     Entry (j, j') is (1/6) * sum_q [2 a_j a'_j' + a_j b'_j' + b_j a'_j' + 2 b_j b'_j']
-    over columns q.  Equal arguments give the symbolic covariance of one matrix.
+    over columns q, computed as Z_x Z_y' of the channel matrices.
     """
     if x.n_cols != y.n_cols:
         raise ShapeError(
             f"cross-covariance needs equal column counts, got {x.n_cols} and {y.n_cols}"
         )
-    return (
-        2.0 * (x.a @ y.a.T) + x.a @ y.b.T + x.b @ y.a.T + 2.0 * (x.b @ y.b.T)
-    ) / 6.0
+    return _channel_matrix(x) @ _channel_matrix(y).T
 
 
 def symbolic_covariance(y: PairMatrix) -> np.ndarray:
-    """Symbolic covariance matrix S of a pair matrix, exactly symmetric.
+    """Symbolic covariance matrix S = Z Z' of a pair matrix, exactly symmetric.
 
-    The upper triangle is computed and mirrored so S == S.T bitwise.
+    numpy evaluates ``z @ z.T`` as one symmetric product and fills both
+    triangles from it, so S == S.T bitwise.
     """
-    s = pair_cross_covariance(y, y)
-    upper = np.triu(s)
-    s = upper + np.triu(s, 1).T
+    z = _channel_matrix(y)
+    s = z @ z.T
     s.flags.writeable = False
     return s
 
@@ -83,10 +89,15 @@ class EigenPairs:
 
 
 def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
-    """Eigendecompose a symmetric matrix; deterministic for fixed input bytes."""
+    """Eigendecompose a symmetric, finite matrix; deterministic for fixed input bytes."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise InvalidValueError(
+            f"matrix has {np.sum(~np.isfinite(s))} non-finite entries; a covariance "
+            "overflows float64 when the series values are too large"
+        )
     scale = float(np.max(np.abs(s))) if s.size else 0.0
     if scale > 0 and float(np.max(np.abs(s - s.T))) > SYMMETRY_RTOL * scale:
         raise InvalidValueError("matrix is not symmetric within tolerance")

@@ -433,6 +433,8 @@ def run_monte_carlo(
             raise ParameterError(f"unknown scenario {s!r}; expected A or B")
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
+    if max_m is not None and max_m < 1:
+        raise ParameterError(f"max_m must be >= 1, got {max_m}")
     methods = tuple(methods)
     for method in methods:
         if method not in METHODS:

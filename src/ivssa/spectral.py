@@ -1,7 +1,10 @@
 """Residual periodogram and the targeted-grouping whiteness criterion.
 
 Components are added one at a time until the cumulative periodogram of the
-interval residuals passes a Kolmogorov-Smirnov white-noise test.
+interval residuals passes a Kolmogorov-Smirnov white-noise test.  The
+interval autocovariance weighs endpoint lag products 2:1:1:2, which in the
+channels of ``symbolic_channels`` is the sum of the mid channel's and the
+radius/sqrt(3) channel's real autocovariances.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .core import (
     ParameterError,
     ShapeError,
     phi_arrays,
+    symbolic_channels,
 )
 from .decomposition import Decomposition, decompose
 
@@ -47,46 +51,27 @@ def _autocov_all(e: IntervalSeries, center: bool = False) -> np.ndarray:
     """Interval autocovariance for every lag h = 0..n-1.
 
     The printed estimator has no mean correction; ``center=True`` subtracts
-    each endpoint channel's mean first.
+    each channel's mean first.
     """
-    lo = e.lo
-    hi = e.hi
+    mid, rad = symbolic_channels(e.lo, e.hi)
     if center:
-        lo = lo - lo.mean()
-        hi = hi - hi.mean()
-    n = lo.size
-    return (
-        2.0 * _lag_products(lo, lo)
-        + _lag_products(lo, hi)
-        + _lag_products(hi, lo)
-        + 2.0 * _lag_products(hi, hi)
-    ) / (6.0 * n)
+        mid = mid - mid.mean()
+        rad = rad - rad.mean()
+    return (_lag_products(mid, mid) + _lag_products(rad, rad)) / mid.size
 
 
 def autocov(e: IntervalSeries, h: int, center: bool = False) -> float:
     """Interval autocovariance at lag h, weighting endpoint products 2:1:1:2.
 
     gamma(h) = (1/6n) sum_t [2 lo_t lo_{t+h} + lo_t hi_{t+h} + hi_t lo_{t+h}
-    + 2 hi_t hi_{t+h}]; the symmetric extension gamma(-h) = gamma(h) is used
+    + 2 hi_t hi_{t+h}] = (1/n) sum_t [C_t C_{t+h} + R_t R_{t+h} / 3] with
+    mid C and radius R; the symmetric extension gamma(-h) = gamma(h) is used
     by the periodogram.
     """
     n = len(e)
     if not 0 <= h <= n - 1:
         raise ParameterError(f"lag must lie in [0, {n - 1}], got {h}")
-    lo = e.lo
-    hi = e.hi
-    if center:
-        lo = lo - lo.mean()
-        hi = hi - hi.mean()
-    x0, x1 = lo[: n - h], lo[h:]
-    y0, y1 = hi[: n - h], hi[h:]
-    total = (
-        2.0 * float(x0 @ x1)
-        + float(x0 @ y1)
-        + float(y0 @ x1)
-        + 2.0 * float(y0 @ y1)
-    )
-    return total / (6.0 * n)
+    return float(_autocov_all(e, center)[h])
 
 
 def ks_critical_value(alpha: float) -> float:
@@ -226,7 +211,9 @@ def select_from_decomposition(
             f"{dec.series_length}"
         )
     cap = DEFAULT_MAX_M if max_m is None else int(max_m)
-    cap = max(1, min(cap, dec.d))
+    if cap < 1:
+        raise ParameterError(f"max_m must be >= 1, got {max_m}")
+    cap = min(cap, dec.d)
     crit = ks_critical_value(alpha)
     scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
     trace: list[float] = []

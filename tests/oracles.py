@@ -77,21 +77,28 @@ def ssa_forecast(history: np.ndarray, alpha: np.ndarray, horizon: int) -> np.nda
 # interval-side brute-force references
 
 
-def symbolic_cov_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    rows, cols = a.shape
-    s = np.empty((rows, rows))
-    for i in range(rows):
-        for j in range(rows):
+def symbolic_cross_cov_loop(
+    xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray
+) -> np.ndarray:
+    rows_x, cols = xa.shape
+    rows_y = ya.shape[0]
+    s = np.empty((rows_x, rows_y))
+    for i in range(rows_x):
+        for j in range(rows_y):
             acc = 0.0
             for t in range(cols):
                 acc += (
-                    2.0 * a[i, t] * a[j, t]
-                    + a[i, t] * b[j, t]
-                    + b[i, t] * a[j, t]
-                    + 2.0 * b[i, t] * b[j, t]
+                    2.0 * xa[i, t] * ya[j, t]
+                    + xa[i, t] * yb[j, t]
+                    + xb[i, t] * ya[j, t]
+                    + 2.0 * xb[i, t] * yb[j, t]
                 )
             s[i, j] = acc / 6.0
     return s
+
+
+def symbolic_cov_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return symbolic_cross_cov_loop(a, b, a, b)
 
 
 def autocov_loop(lo: np.ndarray, hi: np.ndarray, h: int) -> float:

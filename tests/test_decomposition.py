@@ -22,8 +22,8 @@ from ivssa import (
     symbolic_covariance,
     trajectory,
 )
-from helpers import make_rng, random_pair_matrix, random_series
-from oracles import symbolic_cov_loop
+from helpers import make_rng, random_pair_matrix, random_series, structured_series
+from oracles import symbolic_cov_loop, symbolic_cross_cov_loop
 
 
 class TestSymbolicCovariance:
@@ -56,6 +56,15 @@ class TestSymbolicCovariance:
         a = rng.standard_normal((5, 8))
         s = symbolic_covariance(PairMatrix(a, a.copy()))
         assert np.allclose(s, a @ a.T, rtol=1e-12, atol=1e-12)
+
+    def test_cross_form_matches_loop_oracle(self):
+        rng = make_rng(17)
+        x = random_pair_matrix(rng, 4, 9)
+        y = random_pair_matrix(rng, 7, 9)
+        s = pair_cross_covariance(x, y)
+        ref = symbolic_cross_cov_loop(x.a, x.b, y.a, y.b)
+        assert s.shape == (4, 7)
+        assert np.allclose(s, ref, rtol=1e-12, atol=1e-12)
 
     def test_cross_covariance_column_mismatch(self):
         rng = make_rng(3)
@@ -136,6 +145,20 @@ class TestEigenSym:
             eigen_sym(np.zeros((2, 3)))
         with pytest.raises(InvalidValueError):
             eigen_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidValueError, match="non-finite"):
+                eigen_sym(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_overflowing_covariance_names_cause(self):
+        # the Gram product of values near 1e160 exceeds float64; the fit must
+        # fail naming it rather than report rank d = 0
+        y = structured_series(60, seed=3)
+        big = IntervalSeries(y.lo * 1e160, y.hi * 1e160)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidValueError, match="non-finite"):
+                decompose(big)
 
 
 class TestElementary:

@@ -291,6 +291,26 @@ class TestCliBasics:
         res = run_cli("decompose", "--input", sample_csv, "--grouping", "best")
         assert res.returncode == 5
 
+    def test_overflowing_covariance_is_invalid_input(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        y = structured_series(60, seed=12, noise=0.3)
+        write_series_csv(str(path), IntervalSeries(y.lo * 1e160, y.hi * 1e160))
+        res = run_cli("decompose", "--input", str(path))
+        assert res.returncode == 3
+        assert "invalid input" in res.stderr and "non-finite" in res.stderr
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_max_m_below_one(self, sample_csv, bad):
+        res = run_cli("select", "--input", sample_csv, "--max-m", bad)
+        assert res.returncode == 5
+        assert f"max_m must be >= 1, got {bad}" in res.stderr
+        res = run_cli(
+            "mc", "--scenario", "A", "--n-list", "30", "--m-list", "1",
+            "--methods", "ivssa", "--reps", "1", "--max-m", bad,
+        )
+        assert res.returncode == 5
+        assert f"max_m must be >= 1, got {bad}" in res.stderr
+
 
 class TestCliDecompose:
     def test_stdout_json_schema(self, sample_csv):

@@ -206,6 +206,12 @@ class TestRunMonteCarlo:
         with pytest.raises(ParameterError):
             run_monte_carlo(m_list=(0, 1), reps=1)
 
+    def test_max_m_below_one_rejected(self):
+        # checked before any replication runs, not recorded as failed rows
+        for bad in (0, -3):
+            with pytest.raises(ParameterError, match=f"got {bad}"):
+                run_monte_carlo(reps=1, max_m=bad)
+
 
 class TestReportTieBreaks:
     def build(self, sel_ms, hr_by_m):

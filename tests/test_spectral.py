@@ -186,6 +186,12 @@ class TestSelection:
         assert sel.m <= 2
         assert len(sel.ks_trace) <= 2
 
+    def test_max_m_below_one_rejected(self):
+        y = structured_series(100, seed=7, noise=0.0)
+        for bad in (0, -3):
+            with pytest.raises(ParameterError, match=f"got {bad}"):
+                select_components(y, max_m=bad)
+
     def test_alpha_orders_acceptance(self):
         # smaller alpha raises the critical value, so whiteness is accepted
         # no later than under a larger alpha
