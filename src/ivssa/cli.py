@@ -278,7 +278,6 @@ def cmd_select(args) -> None:
             series_index=idx,
             alpha=args.alpha,
             max_m=args.max_m,
-            center=args.center,
         )
         rec = {"index": idx}
         rec.update(_selection_doc(sel))
@@ -293,7 +292,6 @@ def cmd_select(args) -> None:
             "mode": dec.mode.value,
             "alpha": args.alpha,
             "max_m": args.max_m,
-            "center": args.center,
             "rank_eps": args.rank_eps,
         },
         "d": dec.d,
@@ -564,11 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack", choices=("vertical", "horizontal"), default="vertical")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--max-m", type=int, default=None)
-    p.add_argument(
-        "--center",
-        action="store_true",
-        help="mean-center residual channels before the periodogram",
-    )
     _add_rank_eps(p)
     _add_common_out(p)
     p.set_defaults(func=cmd_select)

@@ -54,10 +54,12 @@ def symbolic_covariance(y: PairMatrix) -> np.ndarray:
     """Symbolic covariance matrix S = Z Z' of a pair matrix, exactly symmetric.
 
     numpy evaluates ``z @ z.T`` as one symmetric product and fills both
-    triangles from it, so S == S.T bitwise.
+    triangles from it, so S == S.T bitwise.  Overflow is not warned about
+    here: ``eigen_sym`` rejects the non-finite entries and names the cause.
     """
     z = _channel_matrix(y)
-    s = z @ z.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z @ z.T
     s.flags.writeable = False
     return s
 
@@ -233,6 +235,11 @@ def _build(
     rank_eps: float,
 ) -> Decomposition:
     eig = eigen_sym(s, rank_eps=rank_eps)
+    if eig.d == 0 and (mat.a.any() or mat.b.any()):
+        raise InvalidValueError(
+            "covariance of a nonzero series is zero; it underflows float64 "
+            "when the series values are too small"
+        )
     u = eig.vectors[:, : eig.d]
     wa = u.T @ mat.a
     wb = u.T @ mat.b

@@ -4,7 +4,9 @@ Components are added one at a time until the cumulative periodogram of the
 interval residuals passes a Kolmogorov-Smirnov white-noise test.  The
 interval autocovariance weighs endpoint lag products 2:1:1:2, which in the
 channels of ``symbolic_channels`` is the sum of the mid channel's and the
-radius/sqrt(3) channel's real autocovariances.
+radius/sqrt(3) channel's real autocovariances.  At the Fourier frequencies
+its plug-in spectrum is therefore the sum of the two channels' squared DFT
+moduli over 2*pi*n, so no autocovariance is formed.
 """
 
 from __future__ import annotations
@@ -41,39 +43,6 @@ def interval_residuals(y: IntervalSeries, ytilde: IntervalSeries) -> IntervalSer
     return IntervalSeries(lo, hi)
 
 
-def _lag_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c(h) = sum_t x_t y_{t+h} for h = 0..n-1."""
-    n = x.size
-    return np.correlate(y, x, "full")[n - 1 :]
-
-
-def _autocov_all(e: IntervalSeries, center: bool = False) -> np.ndarray:
-    """Interval autocovariance for every lag h = 0..n-1.
-
-    The printed estimator has no mean correction; ``center=True`` subtracts
-    each channel's mean first.
-    """
-    mid, rad = symbolic_channels(e.lo, e.hi)
-    if center:
-        mid = mid - mid.mean()
-        rad = rad - rad.mean()
-    return (_lag_products(mid, mid) + _lag_products(rad, rad)) / mid.size
-
-
-def autocov(e: IntervalSeries, h: int, center: bool = False) -> float:
-    """Interval autocovariance at lag h, weighting endpoint products 2:1:1:2.
-
-    gamma(h) = (1/6n) sum_t [2 lo_t lo_{t+h} + lo_t hi_{t+h} + hi_t lo_{t+h}
-    + 2 hi_t hi_{t+h}] = (1/n) sum_t [C_t C_{t+h} + R_t R_{t+h} / 3] with
-    mid C and radius R; the symmetric extension gamma(-h) = gamma(h) is used
-    by the periodogram.
-    """
-    n = len(e)
-    if not 0 <= h <= n - 1:
-        raise ParameterError(f"lag must lie in [0, {n - 1}], got {h}")
-    return float(_autocov_all(e, center)[h])
-
-
 def ks_critical_value(alpha: float) -> float:
     """Asymptotic Kolmogorov-Smirnov critical value; 1.358 at alpha = 0.05."""
     if not 0.0 < alpha < 1.0:
@@ -85,8 +54,10 @@ def ks_critical_value(alpha: float) -> float:
 class PeriodogramResult:
     """Interval periodogram over the Fourier frequencies 2*pi*j/n, j = 1..J.
 
-    ``cumulative`` is the normalized running sum of the (clipped) ordinates;
-    ``ks_stat`` is sqrt(J) * max_j |C(w_j) - j/J|.
+    ``cumulative`` is the normalized running sum of the ordinates;
+    ``ks_stat`` is sqrt(J) * max_j |C(w_j) - j/J|.  ``n_clipped`` is always 0:
+    ordinates are sums of squared DFT moduli, so none is negative and none is
+    clipped.
     """
 
     frequencies: np.ndarray
@@ -100,30 +71,26 @@ class PeriodogramResult:
         return int(self.frequencies.size)
 
 
-def periodogram(e: IntervalSeries, center: bool = False) -> PeriodogramResult:
+def periodogram(e: IntervalSeries) -> PeriodogramResult:
     """Spectral plug-in estimator of an interval residual series.
 
-    f(w_j) = (1/2pi) [gamma(0) + 2 sum_h gamma(h) cos(h w_j)] for
-    j = 1..floor((n-1)/2).  Ordinates are clipped at zero before cumulation
-    (count reported); zero total power raises ``DegenerateSpectrumError``,
+    f(w_j) = (1/2pi) sum_{|h|<n} gamma(h) exp(-i h w_j) for
+    j = 1..floor((n-1)/2), which at w_j = 2*pi*j/n equals
+    (|DFT(C)(w_j)|^2 + |DFT(R/sqrt(3))(w_j)|^2) / (2*pi*n).  The DFT of a
+    constant vanishes for j >= 1, so the ordinates do not depend on the
+    channel means.  Zero total power raises ``DegenerateSpectrumError``,
     which callers treat as a perfect fit.
     """
     n = len(e)
     if n < 4:
         raise ParameterError(f"periodogram needs n >= 4, got {n}")
-    gamma = _autocov_all(e, center=center)
-    if gamma[0] == 0.0:
+    if not (e.lo.any() or e.hi.any()):
         raise DegenerateSpectrumError("residual series is identically zero")
     j_count = (n - 1) // 2
     j = np.arange(1, j_count + 1)
     freqs = 2.0 * np.pi * j / n
-    lags = np.arange(1, n)
-    ordinates = (gamma[0] + 2.0 * (np.cos(np.outer(freqs, lags)) @ gamma[1:])) / (
-        2.0 * np.pi
-    )
-    negative = ordinates < 0.0
-    n_clipped = int(np.count_nonzero(negative))
-    ordinates = np.where(negative, 0.0, ordinates)
+    spec = np.fft.rfft(symbolic_channels(e.lo, e.hi))[:, 1 : j_count + 1]
+    ordinates = (spec.real**2 + spec.imag**2).sum(axis=0) / (2.0 * np.pi * n)
     total = float(ordinates.sum())
     if total <= 0.0:
         raise DegenerateSpectrumError("residual spectrum has zero total power")
@@ -136,7 +103,7 @@ def periodogram(e: IntervalSeries, center: bool = False) -> PeriodogramResult:
         ordinates=ordinates,
         cumulative=cumulative,
         ks_stat=ks,
-        n_clipped=n_clipped,
+        n_clipped=0,
     )
 
 
@@ -145,7 +112,6 @@ def residual_whiteness(
     trend_lo: np.ndarray,
     trend_hi: np.ndarray,
     critical_value: float,
-    center: bool = False,
     scale: float | None = None,
 ) -> tuple[float, bool, bool]:
     """Test residuals of a candidate trendline for white noise.
@@ -163,7 +129,7 @@ def residual_whiteness(
         return math.nan, True, True
     lo, hi = phi_arrays(res_a, res_b)
     try:
-        pg = periodogram(IntervalSeries(lo, hi), center=center)
+        pg = periodogram(IntervalSeries(lo, hi))
     except DegenerateSpectrumError:
         return math.nan, True, True
     return pg.ks_stat, pg.ks_stat <= critical_value, False
@@ -192,7 +158,6 @@ def select_from_decomposition(
     series_index: int = 1,
     alpha: float = 0.05,
     max_m: int | None = None,
-    center: bool = False,
 ) -> SelectionResult:
     """Targeted-grouping scan against a prebuilt decomposition.
 
@@ -223,9 +188,7 @@ def select_from_decomposition(
         ca, cb = dec.component_channels((i,), series_index)
         ta, tb = (ca[0], cb[0]) if i == 1 else (ta + ca[0], tb + cb[0])
         lo, hi = phi_arrays(ta, tb)
-        ks, accepted, perfect = residual_whiteness(
-            y, lo, hi, crit, center=center, scale=scale
-        )
+        ks, accepted, perfect = residual_whiteness(y, lo, hi, crit, scale=scale)
         trace.append(ks)
         if accepted:
             return SelectionResult(
@@ -250,11 +213,8 @@ def select_components(
     window: int | None = None,
     alpha: float = 0.05,
     max_m: int | None = None,
-    center: bool = False,
 ) -> SelectionResult:
     """Decompose a univariate series and pick the number of components
     by the residual-whiteness criterion."""
     dec = decompose(y, window)
-    return select_from_decomposition(
-        dec, y, series_index=1, alpha=alpha, max_m=max_m, center=center
-    )
+    return select_from_decomposition(dec, y, series_index=1, alpha=alpha, max_m=max_m)

@@ -156,9 +156,17 @@ class TestEigenSym:
         # fail naming it rather than report rank d = 0
         y = structured_series(60, seed=3)
         big = IntervalSeries(y.lo * 1e160, y.hi * 1e160)
-        with np.errstate(over="ignore"):
-            with pytest.raises(InvalidValueError, match="non-finite"):
-                decompose(big)
+        with pytest.raises(InvalidValueError, match="non-finite"):
+            decompose(big)
+
+    def test_underflowing_covariance_names_cause(self):
+        # the Gram product of values near 1e-200 rounds to zero; a nonzero
+        # series must fail naming it, while an all-zero one keeps rank 0
+        y = structured_series(60, seed=3)
+        tiny = IntervalSeries(y.lo * 1e-200, y.hi * 1e-200)
+        with pytest.raises(InvalidValueError, match="underflows"):
+            decompose(tiny)
+        assert decompose(IntervalSeries(np.zeros(60), np.zeros(60))).d == 0
 
 
 class TestElementary:

@@ -298,6 +298,15 @@ class TestCliBasics:
         res = run_cli("decompose", "--input", str(path))
         assert res.returncode == 3
         assert "invalid input" in res.stderr and "non-finite" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
+
+    def test_underflowing_covariance_is_invalid_input(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        y = structured_series(60, seed=12, noise=0.3)
+        write_series_csv(str(path), IntervalSeries(y.lo * 1e-200, y.hi * 1e-200))
+        res = run_cli("select", "--input", str(path))
+        assert res.returncode == 3
+        assert "invalid input" in res.stderr and "underflows" in res.stderr
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_max_m_below_one(self, sample_csv, bad):

@@ -8,7 +8,6 @@ from ivssa import (
     IntervalSeries,
     ParameterError,
     ShapeError,
-    autocov,
     decompose,
     decompose_stacked,
     interval_residuals,
@@ -18,7 +17,7 @@ from ivssa import (
     select_from_decomposition,
 )
 from helpers import make_rng, random_series, structured_series
-from oracles import autocov_loop, periodogram_loop
+from oracles import periodogram_loop
 
 
 def white_noise_series(seed: int, n: int) -> IntervalSeries:
@@ -44,36 +43,6 @@ class TestIntervalResiduals:
             )
 
 
-class TestAutocov:
-    def test_constant_series_closed_form(self):
-        # constant degenerate series c: gamma(h) = c^2 (n-h) / n
-        c, n = 1.5, 16
-        e = IntervalSeries(np.full(n, c), np.full(n, c))
-        for h in (0, 1, 5, n - 1):
-            assert autocov(e, h) == pytest.approx(c * c * (n - h) / n, rel=1e-14)
-
-    def test_matches_loop_oracle(self):
-        e = white_noise_series(0, 25)
-        for h in range(len(e)):
-            assert autocov(e, h) == pytest.approx(
-                autocov_loop(e.lo, e.hi, h), rel=1e-12, abs=1e-13
-            )
-
-    def test_centering(self):
-        e = white_noise_series(1, 30)
-        lo = e.lo - e.lo.mean()
-        hi = e.hi - e.hi.mean()
-        centered = autocov_loop(lo, hi, 3)
-        assert autocov(e, 3, center=True) == pytest.approx(centered, rel=1e-12)
-
-    def test_lag_bounds(self):
-        e = white_noise_series(2, 10)
-        with pytest.raises(ParameterError):
-            autocov(e, -1)
-        with pytest.raises(ParameterError):
-            autocov(e, 10)
-
-
 class TestKsCriticalValue:
     def test_printed_value(self):
         assert ks_critical_value(0.05) == pytest.approx(1.358, abs=5e-4)
@@ -94,11 +63,13 @@ class TestKsCriticalValue:
 
 
 class TestPeriodogram:
-    def test_matches_loop_oracle(self):
-        e = white_noise_series(3, 40)
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 40, 41])
+    def test_matches_loop_oracle(self, n):
+        e = white_noise_series(3, n)
         pg = periodogram(e)
         freqs, ords, cum, ks = periodogram_loop(e.lo, e.hi)
-        assert pg.j_count == 19
+        assert pg.j_count == (n - 1) // 2
+        assert pg.n_clipped == 0
         assert np.allclose(pg.frequencies, freqs, rtol=1e-14)
         assert np.allclose(pg.ordinates, ords, rtol=1e-10, atol=1e-12)
         assert np.allclose(pg.cumulative, cum, rtol=1e-10, atol=1e-12)
@@ -112,11 +83,12 @@ class TestPeriodogram:
             assert pg.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(pg.cumulative) >= -1e-15)
 
-    def test_centered_variant(self):
+    def test_shift_invariance(self):
+        # the DFT of a constant vanishes at every ordinate j >= 1
         e = white_noise_series(20, 50)
         shifted = IntervalSeries(e.lo + 100.0, e.hi + 100.0)
-        pg = periodogram(shifted, center=True)
-        ref = periodogram(e, center=True)
+        pg = periodogram(shifted)
+        ref = periodogram(e)
         assert pg.ks_stat == pytest.approx(ref.ks_stat, abs=1e-6)
 
     def test_zero_series_degenerate(self):
