@@ -14,16 +14,11 @@ from .core import (
     IntervalSeries,
     InvalidValueError,
     IvssaError,
-    OrderedPair,
     PairMatrix,
     ParameterError,
     ShapeError,
     VerticalityError,
-    c_norm,
     hausdorff,
-    is_hankel,
-    minkowski_add,
-    minkowski_sub,
     phi,
     phi_arrays,
 )
@@ -34,7 +29,6 @@ from .decomposition import (
     decompose,
     decompose_stacked,
     eigen_sym,
-    elementary_matrices,
     pair_cross_covariance,
     stacked_covariance,
     symbolic_covariance,
@@ -50,17 +44,7 @@ from .forecasting import (
     select_params_oos,
 )
 from .io import json_dumps, read_csv, write_json, write_series_csv, write_table_csv
-from .reconstruction import (
-    ErcSet,
-    Grouping,
-    diagonal_average,
-    extract_series,
-    group,
-    hankelize,
-    hankelize_pairs,
-    reconstruct_ercs,
-    trendline,
-)
+from .reconstruction import ErcSet, Grouping, reconstruct_ercs, trendline
 from .simulation import (
     METHODS,
     McReport,
@@ -103,7 +87,6 @@ __all__ = [
     "McRow",
     "McSelectionRow",
     "OosResult",
-    "OrderedPair",
     "PairMatrix",
     "ParameterError",
     "PeriodogramResult",
@@ -114,27 +97,17 @@ __all__ = [
     "ShapeError",
     "StackingMode",
     "VerticalityError",
-    "c_norm",
     "decompose",
     "decompose_stacked",
     "default_l_grid",
     "default_window",
-    "diagonal_average",
     "eigen_sym",
-    "elementary_matrices",
-    "extract_series",
     "forecast_recurrent",
-    "group",
-    "hankelize",
-    "hankelize_pairs",
     "hausdorff",
     "hausdorff_residual_mean",
     "interval_residuals",
-    "is_hankel",
     "json_dumps",
     "ks_critical_value",
-    "minkowski_add",
-    "minkowski_sub",
     "pair_cross_covariance",
     "periodogram",
     "phi",

@@ -1,14 +1,15 @@
-"""Interval algebra: intervals, ordered pairs, pair matrices, and their norms.
+"""Intervals, interval series, the trajectory pair matrix, and library errors.
 
-Intermediate matrices in the pipeline hold *ordered pairs* (a, b) with no
+Intermediate arrays in the pipeline hold endpoint *pairs* (a, b) with no
 ordering constraint; only at emission are pairs mapped back to valid
-intervals through ``phi``.
+intervals through ``phi``.  The mid and radius channels of those pairs
+(``symbolic_channels``) carry all the covariance arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,13 +81,6 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
 
-class OrderedPair(NamedTuple):
-    """Unconstrained real pair; may have a > b (e.g. after a Minkowski difference)."""
-
-    a: float
-    b: float
-
-
 def phi(x: float, y: float) -> Interval:
     """Map a pair onto the interval [min(x, y), max(x, y)]."""
     x = float(x)
@@ -111,13 +105,12 @@ def symbolic_channels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return 0.5 * (a + b), (b - a) * (0.5 / np.sqrt(3.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairMatrix:
-    """Dense matrix of ordered pairs, stored as two real grids of equal shape.
+    """Trajectory matrix of endpoint pairs, stored as two real grids of equal shape.
 
-    ``a`` holds the first pair component, ``b`` the second.  Addition and
-    subtraction are the pointwise Minkowski-type operations (componentwise,
-    no reordering).
+    ``a`` holds the first pair component, ``b`` the second; a pair may have
+    a > b.  The grids are validated finite and made read-only.
     """
 
     a: np.ndarray
@@ -135,12 +128,6 @@ class PairMatrix:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @classmethod
-    def from_pairs(cls, rows: Sequence[Sequence[tuple[float, float]]]) -> "PairMatrix":
-        a = [[p[0] for p in row] for row in rows]
-        b = [[p[1] for p in row] for row in rows]
-        return cls(np.array(a, dtype=float), np.array(b, dtype=float))
-
     @property
     def n_rows(self) -> int:
         return self.a.shape[0]
@@ -149,79 +136,10 @@ class PairMatrix:
     def n_cols(self) -> int:
         return self.a.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def entry(self, i: int, j: int) -> OrderedPair:
-        """Pair at 0-based position (i, j)."""
-        return OrderedPair(float(self.a[i, j]), float(self.b[i, j]))
-
-    def __add__(self, other: "PairMatrix") -> "PairMatrix":
-        return minkowski_add(self, other)
-
-    def __sub__(self, other: "PairMatrix") -> "PairMatrix":
-        return minkowski_sub(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairMatrix):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
-            and bool(np.array_equal(self.b, other.b))
-        )
-
-
-def minkowski_add(x: PairMatrix, y: PairMatrix) -> PairMatrix:
-    """Pointwise Minkowski sum: (a + c, b + d) on each entry."""
-    if x.shape != y.shape:
-        raise ShapeError(f"cannot add pair matrices of shapes {x.shape} and {y.shape}")
-    return PairMatrix(x.a + y.a, x.b + y.b)
-
-
-def minkowski_sub(x: PairMatrix, y: PairMatrix) -> PairMatrix:
-    """Pointwise Minkowski difference: (a - c, b - d); result pairs may be unordered."""
-    if x.shape != y.shape:
-        raise ShapeError(f"cannot subtract pair matrices of shapes {x.shape} and {y.shape}")
-    return PairMatrix(x.a - y.a, x.b - y.b)
-
-
-def c_norm(y: PairMatrix) -> float:
-    """Frobenius-type norm of a pair matrix: sqrt(sum(a^2 + b^2)) / sqrt(2).
-
-    Coincides with the Frobenius norm when a == b everywhere.
-    """
-    total = float(np.sum(y.a * y.a) + np.sum(y.b * y.b))
-    return float(np.sqrt(0.5 * total))
-
 
 def hausdorff(x: Interval, y: Interval) -> float:
     """Hausdorff distance between two intervals: max endpoint deviation."""
     return max(abs(x.lo - y.lo), abs(x.hi - y.hi))
-
-
-def is_hankel(y: PairMatrix, tol: float | None = None) -> bool:
-    """True iff both pair components are constant (within tol) on each antidiagonal.
-
-    ``tol=None`` uses 1e-9 relative to the matrix C-norm.
-    """
-    if tol is None:
-        tol = 1e-9 * c_norm(y)
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
-    l, k = y.shape
-    idx = (np.arange(l)[:, None] + np.arange(k)[None, :]).ravel()
-    n_diag = l + k - 1
-    for grid in (y.a, y.b):
-        flat = grid.ravel()
-        mins = np.full(n_diag, np.inf)
-        maxs = np.full(n_diag, -np.inf)
-        np.minimum.at(mins, idx, flat)
-        np.maximum.at(maxs, idx, flat)
-        if np.any(maxs - mins > tol):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Symbolic covariance, its eigendecomposition, and elementary pair matrices.
+"""Symbolic covariance, its eigendecomposition, and the rank-one factors.
 
 The covariance of two pair matrices weighs the endpoint cross-products
 2:1:1:2 (the symbolic-data covariance, kept up to its printed constant).
 In the real channels of ``symbolic_channels``, mid C and radius R, that is
 S = C C' + R R'/3 = Z Z' with Z = [C, R/sqrt(3)], so interval SSA is real
-two-channel SSA.  The eigenbasis of S decomposes the trajectory matrix
-into rank-one pair matrices whose partial sums reconstruct the signal.
+two-channel SSA.  A fit keeps each eigenvector u_i of S with the
+projections w_i = u_i' A, u_i' B of the trajectory grids; component i is
+the rank-one pair u_i w_i', never formed as a matrix, and
+``Decomposition.component_channels`` diagonal-averages it directly.
 """
 
 from __future__ import annotations
@@ -91,7 +93,14 @@ class EigenPairs:
 
 
 def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
-    """Eigendecompose a symmetric, finite matrix; deterministic for fixed input bytes."""
+    """Eigendecompose a symmetric, finite matrix; deterministic for fixed input bytes.
+
+    ``rank_eps`` must lie in [0, 1): the rank d counts eigenvalues above
+    rank_eps * lambda_1, so a negative cutoff keeps round-off eigenvalues
+    and one of 1 or more keeps none.
+    """
+    if not 0.0 <= rank_eps < 1.0:
+        raise ParameterError(f"rank_eps must lie in [0, 1), got {rank_eps}")
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {s.shape}")
@@ -121,33 +130,14 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors, d=d)
 
 
-def elementary_matrices(y: PairMatrix, eig: EigenPairs) -> list[PairMatrix]:
-    """Rank-one elementary pair matrices Y_1..Y_d for a trajectory matrix.
-
-    Y_i projects both component grids onto the i-th eigenvector:
-    Y_i = u_i (u_i^T A), u_i (u_i^T B).  Their sum over i <= d recovers Y.
-    """
-    if eig.vectors.shape[0] != y.n_rows:
-        raise ShapeError(
-            f"eigenvectors of length {eig.vectors.shape[0]} do not match "
-            f"{y.n_rows} matrix rows"
-        )
-    u = eig.vectors[:, : eig.d]
-    wa = u.T @ y.a
-    wb = u.T @ y.b
-    return [
-        PairMatrix(np.outer(u[:, i], wa[i]), np.outer(u[:, i], wb[i]))
-        for i in range(eig.d)
-    ]
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Result of the symbolic SVD step for one (possibly stacked) trajectory matrix.
 
     ``window`` is the per-series window l; for vertical stacking the
-    trajectory matrix has window * n_series rows.  Elementary matrices are
-    materialized on demand from the stored eigenbasis projections.
+    trajectory matrix has window * n_series rows.  ``_wa`` and ``_wb`` hold
+    the projections u_i' A and u_i' B of the trajectory grids onto the first
+    d eigenvectors, one row per component.
     """
 
     mode: StackingMode
@@ -155,7 +145,6 @@ class Decomposition:
     k: int
     n_series: int
     series_length: int
-    trajectory: PairMatrix
     eig: EigenPairs
     _wa: np.ndarray
     _wb: np.ndarray
@@ -163,27 +152,6 @@ class Decomposition:
     @property
     def d(self) -> int:
         return self.eig.d
-
-    def elementary_matrix(self, component: int) -> PairMatrix:
-        """Elementary pair matrix for a 1-based component index."""
-        if not 1 <= component <= self.d:
-            raise ParameterError(
-                f"component must lie in [1, {self.d}], got {component}"
-            )
-        i = component - 1
-        u = self.eig.vectors[:, i]
-        return PairMatrix(np.outer(u, self._wa[i]), np.outer(u, self._wb[i]))
-
-    @property
-    def elementary(self) -> list[PairMatrix]:
-        """All elementary matrices Y_1..Y_d (built fresh on each access)."""
-        return [self.elementary_matrix(i) for i in range(1, self.d + 1)]
-
-    def grouped_arrays(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Component grids of sum(Y_i, i in indices) for 1-based indices."""
-        idx = [i - 1 for i in indices]
-        u = self.eig.vectors[:, idx]
-        return u @ self._wa[idx], u @ self._wb[idx]
 
     def series_block(self, series_index: int) -> tuple[slice, slice]:
         """Rows and columns of the trajectory matrix that hold one 1-based
@@ -252,7 +220,6 @@ def _build(
         k=k,
         n_series=n_series,
         series_length=series_length,
-        trajectory=mat,
         eig=eig,
         _wa=wa,
         _wb=wb,
@@ -279,6 +246,8 @@ def decompose_stacked(
 ) -> Decomposition:
     """Multivariate decomposition over vertically or horizontally stacked trajectories."""
     series = list(series)
+    if not series:
+        raise ParameterError("need at least one series to decompose")
     if len(series) == 1 and mode is StackingMode.UNIVARIATE:
         return decompose(series[0], window=window, rank_eps=rank_eps)
     if mode is StackingMode.UNIVARIATE:

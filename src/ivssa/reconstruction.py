@@ -1,8 +1,9 @@
-"""Grouping, diagonal averaging, and interval trendline extraction.
+"""Grouping, interval trendlines, and elementary reconstructed components.
 
-Diagonal averaging happens at the pair level (where it is the C-norm-closest
-Hankel projection); pairs are mapped to intervals through ``phi`` only when a
-series is emitted.
+Every component is diagonal-averaged at the pair level, where antidiagonal
+means are the C-norm-closest Hankel projection, by
+``Decomposition.component_channels``; pairs are mapped to intervals through
+``phi`` only when a series is emitted.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    IntervalSeries,
-    PairMatrix,
-    ParameterError,
-    phi_arrays,
-)
+from .core import IntervalSeries, ParameterError, phi_arrays
 from .decomposition import Decomposition
 
 
@@ -52,56 +48,6 @@ class Grouping:
             raise ParameterError(
                 f"grouping index {max(self.indices)} exceeds rank d={d}"
             )
-
-
-def group(elementary: Sequence[PairMatrix], grouping: Grouping) -> PairMatrix:
-    """Minkowski sum of the selected elementary matrices."""
-    grouping.validate(len(elementary))
-    total = elementary[grouping.indices[0] - 1]
-    for i in grouping.indices[1:]:
-        total = total + elementary[i - 1]
-    return total
-
-
-def _antidiagonal_means(grid: np.ndarray) -> np.ndarray:
-    l, k = grid.shape
-    n = l + k - 1
-    idx = (np.arange(l)[:, None] + np.arange(k)[None, :]).ravel()
-    sums = np.bincount(idx, weights=grid.ravel(), minlength=n)
-    counts = np.bincount(idx, minlength=n)
-    return sums / counts
-
-
-def hankelize_pairs(y: PairMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Antidiagonal means of both component grids (pair series, no reordering)."""
-    return _antidiagonal_means(y.a), _antidiagonal_means(y.b)
-
-
-def hankelize(y: PairMatrix) -> PairMatrix:
-    """C-norm-closest Hankel matrix of ordered pairs: antidiagonal means."""
-    ga, gb = hankelize_pairs(y)
-    l, k = y.shape
-    idx = np.arange(l)[:, None] + np.arange(k)[None, :]
-    return PairMatrix(ga[idx], gb[idx])
-
-
-def diagonal_average(y: PairMatrix) -> IntervalSeries:
-    """Collapse a pair matrix to an interval series of length l + k - 1.
-
-    Averages each antidiagonal per component, then restores interval order
-    through phi.
-    """
-    ga, gb = hankelize_pairs(y)
-    lo, hi = phi_arrays(ga, gb)
-    return IntervalSeries(lo, hi)
-
-
-def extract_series(
-    y_grouped: PairMatrix, dec: Decomposition, series_index: int
-) -> PairMatrix:
-    """Per-series block of a grouped matrix: rows for vertical stacking, columns for horizontal."""
-    rows, cols = dec.series_block(series_index)
-    return PairMatrix(y_grouped.a[rows, cols], y_grouped.b[rows, cols])
 
 
 def trendline(
@@ -152,8 +98,8 @@ class ErcSet:
 
 
 def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:
-    """Diagonal-average each of the first ``count`` elementary matrices,
-    per series for stacked decompositions."""
+    """Diagonal-average each of the first ``count`` components, per series
+    for stacked decompositions."""
     if not 1 <= count <= dec.d:
         raise ParameterError(f"count must lie in [1, {dec.d}], got {count}")
     channels = [

@@ -40,6 +40,20 @@ def diag_avg_loop(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def hankelize(mat: np.ndarray) -> np.ndarray:
+    """Hankel matrix of the antidiagonal means of ``mat``, same shape."""
+    rows, cols = mat.shape
+    return diag_avg_loop(mat)[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
+
+
+def c_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """C-norm of the pair matrix with grids a and b: sqrt(sum(a^2 + b^2) / 2).
+
+    Equals the Frobenius norm of a when a == b.
+    """
+    return math.sqrt(0.5 * float(np.sum(a * a) + np.sum(b * b)))
+
+
 def ssa_erc(u: np.ndarray, s: np.ndarray, vt: np.ndarray, i: int) -> np.ndarray:
     return diag_avg_loop(s[i] * np.outer(u[:, i], vt[i]))
 

@@ -9,19 +9,14 @@ from ivssa import (
     Interval,
     IntervalSeries,
     InvalidValueError,
-    OrderedPair,
     PairMatrix,
-    ParameterError,
     ShapeError,
-    c_norm,
     hausdorff,
-    is_hankel,
-    minkowski_add,
-    minkowski_sub,
     phi,
     phi_arrays,
 )
 from helpers import make_rng, random_pair_matrix
+from oracles import c_norm
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -72,11 +67,6 @@ class TestPhi:
 
 
 class TestPairMatrix:
-    def test_from_pairs_entry(self):
-        y = PairMatrix.from_pairs([[(0.0, 2.0), (1.0, 3.0)]])
-        assert y.shape == (1, 2)
-        assert y.entry(0, 1) == OrderedPair(1.0, 3.0)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             PairMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
@@ -91,49 +81,32 @@ class TestPairMatrix:
         with pytest.raises(ValueError):
             y.a[0, 0] = 5.0
 
-    def test_add_sub_roundtrip(self):
-        rng = make_rng(1)
-        x = random_pair_matrix(rng, 4, 5)
-        y = random_pair_matrix(rng, 4, 5)
-        z = (x + y) - y
-        assert np.allclose(z.a, x.a) and np.allclose(z.b, x.b)
-
-    def test_add_shape_error(self):
-        rng = make_rng(2)
-        with pytest.raises(ShapeError):
-            minkowski_add(random_pair_matrix(rng, 2, 3), random_pair_matrix(rng, 3, 2))
-        with pytest.raises(ShapeError):
-            minkowski_sub(random_pair_matrix(rng, 2, 3), random_pair_matrix(rng, 2, 4))
-
-    def test_eq(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[3.0, 4.0]])
-        assert PairMatrix(a, b) == PairMatrix(a.copy(), b.copy())
-        assert PairMatrix(a, b) != PairMatrix(b, a)
-
 
 class TestCNorm:
+    """The reference C-norm that acceptance criteria 2 and 3 measure with."""
+
     def test_known_value(self):
         # single pair (3, 4): sqrt((9 + 16) / 2)
-        y = PairMatrix.from_pairs([[(3.0, 4.0)]])
-        assert c_norm(y) == pytest.approx(math.sqrt(12.5), rel=1e-15)
+        assert c_norm(np.array([[3.0]]), np.array([[4.0]])) == pytest.approx(
+            math.sqrt(12.5), rel=1e-15
+        )
 
     def test_degenerate_matches_frobenius(self):
         rng = make_rng(3)
         a = rng.standard_normal((4, 6))
-        y = PairMatrix(a, a.copy())
-        assert c_norm(y) == pytest.approx(np.linalg.norm(a), rel=1e-12)
+        assert c_norm(a, a.copy()) == pytest.approx(np.linalg.norm(a), rel=1e-12)
 
     def test_zero_iff_zero(self):
-        z = PairMatrix(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert c_norm(z) == 0.0
-        assert c_norm(random_pair_matrix(make_rng(4), 2, 2)) > 0.0
+        assert c_norm(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+        y = random_pair_matrix(make_rng(4), 2, 2)
+        assert c_norm(y.a, y.b) > 0.0
 
     def test_triangle_inequality(self):
         rng = make_rng(5)
         x = random_pair_matrix(rng, 3, 3)
         y = random_pair_matrix(rng, 3, 3)
-        assert c_norm(x + y) <= c_norm(x) + c_norm(y) + 1e-12
+        total = c_norm(x.a + y.a, x.b + y.b)
+        assert total <= c_norm(x.a, x.b) + c_norm(y.a, y.b) + 1e-12
 
 
 class TestHausdorff:
@@ -147,27 +120,6 @@ class TestHausdorff:
         assert hausdorff(x, y) >= 0.0
         assert hausdorff(x, y) == hausdorff(y, x)
         assert hausdorff(x, x) == 0.0
-
-
-class TestIsHankel:
-    def test_true_on_hankel(self):
-        vals = np.arange(6.0)
-        a = np.array([[vals[i + j] for j in range(3)] for i in range(4)])
-        assert is_hankel(PairMatrix(a, 2 * a))
-
-    def test_false_on_bump(self):
-        vals = np.arange(6.0)
-        a = np.array([[vals[i + j] for j in range(3)] for i in range(4)])
-        b = a.copy()
-        b[2, 1] += 0.5
-        assert not is_hankel(PairMatrix(a, b))
-
-    def test_tolerance(self):
-        a = np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0]])
-        assert is_hankel(PairMatrix(a, a))
-        assert not is_hankel(PairMatrix(a, a), tol=1e-13)
-        with pytest.raises(ParameterError):
-            is_hankel(PairMatrix(a, a), tol=-1.0)
 
 
 class TestIntervalSeries:

@@ -10,17 +10,13 @@ from ivssa import (
     ParameterError,
     ShapeError,
     StackingMode,
-    c_norm,
     decompose,
     decompose_stacked,
     eigen_sym,
-    elementary_matrices,
-    minkowski_sub,
     pair_cross_covariance,
     stack,
     stacked_covariance,
     symbolic_covariance,
-    trajectory,
 )
 from helpers import make_rng, random_pair_matrix, random_series, structured_series
 from oracles import symbolic_cov_loop, symbolic_cross_cov_loop
@@ -29,7 +25,7 @@ from oracles import symbolic_cov_loop, symbolic_cross_cov_loop
 class TestSymbolicCovariance:
     def test_known_value(self):
         # one row of pairs (0,2), (1,3): (1/6)[(0+0+0+8) + (2+3+3+18)] = 34/6
-        y = PairMatrix.from_pairs([[(0.0, 2.0), (1.0, 3.0)]])
+        y = PairMatrix(np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]]))
         s = symbolic_covariance(y)
         assert s.shape == (1, 1)
         assert s[0, 0] == pytest.approx(34.0 / 6.0, rel=1e-15)
@@ -140,6 +136,13 @@ class TestEigenSym:
     def test_zero_matrix_rank_zero(self):
         assert eigen_sym(np.zeros((4, 4))).d == 0
 
+    @pytest.mark.parametrize("rank_eps", [math.nan, 1.0, -1.0])
+    def test_rank_eps_outside_unit_interval_rejected(self, rank_eps):
+        # a negative cutoff would keep round-off eigenvalues in d, and one
+        # of 1 or NaN would keep none
+        with pytest.raises(ParameterError, match="rank_eps"):
+            eigen_sym(np.eye(3), rank_eps=rank_eps)
+
     def test_validation(self):
         with pytest.raises(ShapeError):
             eigen_sym(np.zeros((2, 3)))
@@ -169,68 +172,23 @@ class TestEigenSym:
         assert decompose(IntervalSeries(np.zeros(60), np.zeros(60))).d == 0
 
 
-class TestElementary:
-    def test_sum_reconstructs(self):
-        y = random_pair_matrix(make_rng(10), 6, 10)
-        eig = eigen_sym(symbolic_covariance(y))
-        parts = elementary_matrices(y, eig)
-        assert len(parts) == eig.d
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        assert c_norm(minkowski_sub(y, total)) <= 1e-12 * c_norm(y)
-
-    def test_rank_one(self):
-        y = random_pair_matrix(make_rng(11), 5, 7)
-        eig = eigen_sym(symbolic_covariance(y))
-        for p in elementary_matrices(y, eig):
-            stacked = np.hstack([p.a, p.b])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            assert s[1] <= 1e-10 * max(s[0], 1.0)
-
-    def test_shape_mismatch(self):
-        rng = make_rng(12)
-        y = random_pair_matrix(rng, 5, 7)
-        eig = eigen_sym(symbolic_covariance(random_pair_matrix(rng, 4, 7)))
-        with pytest.raises(ShapeError):
-            elementary_matrices(y, eig)
-
-
 class TestDecompose:
     def test_default_window(self):
         y = random_series(make_rng(13), 40)
         dec = decompose(y)
         assert dec.window == 21
         assert dec.k == 20
+        assert dec.eig.size == 21
         assert dec.mode is StackingMode.UNIVARIATE
-        assert dec.trajectory == trajectory(y, 21)
-
-    def test_elementary_access(self):
-        y = random_series(make_rng(14), 20)
-        dec = decompose(y, 6)
-        full = elementary_matrices(dec.trajectory, dec.eig)
-        assert dec.elementary_matrix(1) == full[0]
-        assert dec.elementary == full
-        with pytest.raises(ParameterError):
-            dec.elementary_matrix(0)
-        with pytest.raises(ParameterError):
-            dec.elementary_matrix(dec.d + 1)
-
-    def test_grouped_arrays_match_elementary_sum(self):
-        y = random_series(make_rng(15), 25)
-        dec = decompose(y, 8)
-        ga, gb = dec.grouped_arrays((1, 3, 4))
-        ref = dec.elementary_matrix(1) + dec.elementary_matrix(3) + dec.elementary_matrix(4)
-        assert np.allclose(ga, ref.a, atol=1e-12)
-        assert np.allclose(gb, ref.b, atol=1e-12)
 
     def test_stacked_modes(self):
         rng = make_rng(16)
         xs = [random_series(rng, 30) for _ in range(2)]
         dv = decompose_stacked(xs, mode=StackingMode.VERTICAL)
         dh = decompose_stacked(xs, mode=StackingMode.HORIZONTAL)
-        assert dv.window == 11 and dv.trajectory.shape == (22, 20)
-        assert dh.window == 21 and dh.trajectory.shape == (21, 20)
+        # trajectory shapes: vertical (2*11) x 20, horizontal 21 x (2*10)
+        assert dv.window == 11 and dv.eig.size == 22 and dv.k == 20
+        assert dh.window == 21 and dh.eig.size == 21 and dh.k == 10
         assert dv.n_series == dh.n_series == 2
 
     def test_stacked_univariate_mode_rejected(self):
@@ -238,6 +196,11 @@ class TestDecompose:
         xs = [random_series(rng, 12) for _ in range(2)]
         with pytest.raises(ParameterError):
             decompose_stacked(xs, mode=StackingMode.UNIVARIATE)
+
+    def test_stacked_empty_rejected(self):
+        for mode in StackingMode:
+            with pytest.raises(ParameterError, match="at least one series"):
+                decompose_stacked([], mode=mode)
 
     def test_degenerate_matches_classical_eigenvalues(self):
         rng = make_rng(18)

@@ -9,7 +9,6 @@ from ivssa import (
     ShapeError,
     StackingMode,
     default_window,
-    is_hankel,
     stack,
     trajectory,
 )
@@ -20,16 +19,20 @@ class TestTrajectory:
     def test_values(self):
         y = IntervalSeries.from_pairs([(1, 2), (3, 4), (5, 6), (7, 8)])
         traj = trajectory(y, 2)
-        assert traj.shape == (2, 3)
+        assert traj.a.shape == traj.b.shape == (2, 3)
         # column j is the window starting at position j
-        assert traj.entry(0, 0) == (1.0, 2.0)
-        assert traj.entry(1, 0) == (3.0, 4.0)
-        assert traj.entry(0, 2) == (5.0, 6.0)
-        assert traj.entry(1, 2) == (7.0, 8.0)
+        assert (traj.a[0, 0], traj.b[0, 0]) == (1.0, 2.0)
+        assert (traj.a[1, 0], traj.b[1, 0]) == (3.0, 4.0)
+        assert (traj.a[0, 2], traj.b[0, 2]) == (5.0, 6.0)
+        assert (traj.a[1, 2], traj.b[1, 2]) == (7.0, 8.0)
 
     def test_hankel_by_construction(self):
         y = random_series(make_rng(0), 30)
-        assert is_hankel(trajectory(y, 7), tol=0.0)
+        traj = trajectory(y, 7)
+        # entry (i, j) is the value at position i + j, for every i and j
+        idx = np.arange(7)[:, None] + np.arange(24)[None, :]
+        assert np.array_equal(traj.a, y.lo[idx])
+        assert np.array_equal(traj.b, y.hi[idx])
 
     @pytest.mark.parametrize("window", [0, 1, 10, 11])
     def test_window_bounds(self, window):
@@ -39,8 +42,8 @@ class TestTrajectory:
 
     def test_window_extremes_ok(self):
         y = random_series(make_rng(2), 10)
-        assert trajectory(y, 2).shape == (2, 9)
-        assert trajectory(y, 9).shape == (9, 2)
+        assert trajectory(y, 2).a.shape == (2, 9)
+        assert trajectory(y, 9).a.shape == (9, 2)
 
 
 class TestStack:
@@ -48,7 +51,7 @@ class TestStack:
         rng = make_rng(3)
         xs = [random_series(rng, 20) for _ in range(3)]
         stacked = stack(xs, 6, StackingMode.VERTICAL)
-        assert stacked.shape == (18, 15)
+        assert stacked.a.shape == stacked.b.shape == (18, 15)
         for s, y in enumerate(xs):
             block = trajectory(y, 6)
             assert np.array_equal(stacked.a[6 * s : 6 * (s + 1)], block.a)
@@ -58,7 +61,7 @@ class TestStack:
         rng = make_rng(4)
         xs = [random_series(rng, 20) for _ in range(2)]
         stacked = stack(xs, 6, StackingMode.HORIZONTAL)
-        assert stacked.shape == (6, 30)
+        assert stacked.a.shape == stacked.b.shape == (6, 30)
         for s, y in enumerate(xs):
             block = trajectory(y, 6)
             assert np.array_equal(stacked.a[:, 15 * s : 15 * (s + 1)], block.a)
@@ -67,7 +70,9 @@ class TestStack:
         y = random_series(make_rng(5), 15)
         base = trajectory(y, 4)
         for mode in StackingMode:
-            assert stack([y], 4, mode) == base
+            single = stack([y], 4, mode)
+            assert np.array_equal(single.a, base.a)
+            assert np.array_equal(single.b, base.b)
 
     def test_unequal_lengths(self):
         rng = make_rng(6)

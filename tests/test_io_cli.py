@@ -320,6 +320,12 @@ class TestCliBasics:
         assert res.returncode == 5
         assert f"max_m must be >= 1, got {bad}" in res.stderr
 
+    @pytest.mark.parametrize("bad", ["nan", "1", "-1"])
+    def test_rank_eps_outside_unit_interval(self, sample_csv, bad):
+        res = run_cli("select", "--input", sample_csv, "--rank-eps", bad)
+        assert res.returncode == 5
+        assert "configuration error" in res.stderr and "rank_eps" in res.stderr
+
 
 class TestCliDecompose:
     def test_stdout_json_schema(self, sample_csv):
