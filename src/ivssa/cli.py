@@ -372,6 +372,7 @@ def _oos_doc(oos) -> dict:
             if (window, m) in oos.failed
             else oos.objective[(window, m)],
             "failed": (window, m) in oos.failed,
+            "failure": oos.failure_reasons.get((window, m)),
         }
         for window in oos.l_grid
         for m in oos.m_grid

@@ -142,13 +142,14 @@ def hausdorff(x: Interval, y: Interval) -> float:
     return max(abs(x.lo - y.lo), abs(x.hi - y.hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSeries:
     """Time-indexed sequence of intervals, backed by lo/hi arrays.
 
     ``labels`` are opaque time labels; when present they match the series
     length.  Supports integer indexing (returns ``Interval``) and slicing
-    (returns ``IntervalSeries``).
+    (returns ``IntervalSeries``).  ``==`` compares the endpoints; a series
+    is not hashable.
     """
 
     lo: np.ndarray

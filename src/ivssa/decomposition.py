@@ -34,9 +34,9 @@ DEFAULT_RANK_EPS = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
-def _channel_matrix(x: PairMatrix) -> np.ndarray:
-    """Z = [C, R/sqrt(3)]: each row of x as its two channels side by side."""
-    return np.hstack(symbolic_channels(x.a, x.b))
+def _channel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Z = [C, R/sqrt(3)]: each row of the grids a, b as its two channels side by side."""
+    return np.hstack(symbolic_channels(a, b))
 
 
 def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
@@ -49,21 +49,26 @@ def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
         raise ShapeError(
             f"cross-covariance needs equal column counts, got {x.n_cols} and {y.n_cols}"
         )
-    return _channel_matrix(x) @ _channel_matrix(y).T
+    return _channel_matrix(x.a, x.b) @ _channel_matrix(y.a, y.b).T
 
 
-def symbolic_covariance(y: PairMatrix) -> np.ndarray:
-    """Symbolic covariance matrix S = Z Z' of a pair matrix, exactly symmetric.
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S = Z Z' of the trajectory grids a and b, read-only and exactly symmetric.
 
     numpy evaluates ``z @ z.T`` as one symmetric product and fills both
     triangles from it, so S == S.T bitwise.  Overflow is not warned about
     here: ``eigen_sym`` rejects the non-finite entries and names the cause.
     """
-    z = _channel_matrix(y)
+    z = _channel_matrix(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         s = z @ z.T
     s.flags.writeable = False
     return s
+
+
+def symbolic_covariance(y: PairMatrix) -> np.ndarray:
+    """Symbolic covariance matrix S = Z Z' of a pair matrix (see ``_gram``)."""
+    return _gram(y.a, y.b)
 
 
 def stacked_covariance(
@@ -74,7 +79,7 @@ def stacked_covariance(
     return symbolic_covariance(stack(series, window, mode))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPairs:
     """Full symmetric eigendecomposition with descending eigenvalues.
 
@@ -130,7 +135,7 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors, d=d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Result of the symbolic SVD step for one (possibly stacked) trajectory matrix.
 
@@ -194,23 +199,25 @@ class Decomposition:
 
 
 def _build(
-    mat: PairMatrix,
+    a: np.ndarray,
+    b: np.ndarray,
+    s: np.ndarray,
     mode: StackingMode,
     window: int,
     n_series: int,
     series_length: int,
-    s: np.ndarray,
     rank_eps: float,
 ) -> Decomposition:
+    """The one fit: eigenpairs of S = ``_gram(a, b)``, projections of a, b."""
     eig = eigen_sym(s, rank_eps=rank_eps)
-    if eig.d == 0 and (mat.a.any() or mat.b.any()):
+    if eig.d == 0 and (a.any() or b.any()):
         raise InvalidValueError(
             "covariance of a nonzero series is zero; it underflows float64 "
             "when the series values are too small"
         )
     u = eig.vectors[:, : eig.d]
-    wa = u.T @ mat.a
-    wb = u.T @ mat.b
+    wa = u.T @ a
+    wb = u.T @ b
     wa.flags.writeable = False
     wb.flags.writeable = False
     k = series_length - window + 1
@@ -234,7 +241,8 @@ def decompose(
         window = default_window(len(y))
     mat = trajectory(y, window)
     return _build(
-        mat, StackingMode.UNIVARIATE, int(window), 1, len(y), symbolic_covariance(mat), rank_eps
+        mat.a, mat.b, symbolic_covariance(mat),
+        StackingMode.UNIVARIATE, int(window), 1, len(y), rank_eps,
     )
 
 
@@ -257,5 +265,5 @@ def decompose_stacked(
         window = default_window(n, len(series), mode)
     mat = stack(series, window, mode)
     return _build(
-        mat, mode, int(window), len(series), n, symbolic_covariance(mat), rank_eps
+        mat.a, mat.b, symbolic_covariance(mat), mode, int(window), len(series), n, rank_eps
     )

@@ -1,4 +1,10 @@
-"""Recurrent interval forecasting and out-of-sample parameter search."""
+"""Recurrent interval forecasting and out-of-sample parameter search.
+
+One stepper, ``_run_recurrence``, advances many recurrences at once;
+``forecast_recurrent`` is its one-row call.  The grid search runs one task
+per window l: it fits each prefix y[:w] with ``decompose``'s fit function
+on the trajectory grids, then forecasts all (w, m) rows together.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +15,13 @@ import numpy as np
 
 from .core import (
     IntervalSeries,
+    InvalidValueError,
     ParameterError,
     VerticalityError,
     phi_arrays,
 )
-from .decomposition import (
-    DEFAULT_RANK_EPS,
-    EigenPairs,
-    decompose,
-)
+from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _build, _gram
+from .embedding import StackingMode
 from .parallel import run_tasks
 from .reconstruction import Grouping
 
@@ -25,7 +29,7 @@ from .reconstruction import Grouping
 VERTICALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecurrenceCoefficients:
     """Linear recurrence weights; alpha[j-1] multiplies lag j."""
 
@@ -35,6 +39,19 @@ class RecurrenceCoefficients:
     @property
     def order(self) -> int:
         return int(self.alpha.size)
+
+
+def _recurrence(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """(alpha, nu^2) of the eigenvectors in the columns of u; raises
+    ``VerticalityError`` when nu^2 >= 1 - VERTICALITY_TOL."""
+    pi1 = u[-1, :]
+    nu2 = float(pi1 @ pi1)
+    if nu2 >= 1.0 - VERTICALITY_TOL:
+        raise VerticalityError(
+            f"selected eigenspace is vertical (nu^2 = {nu2:.17g}); "
+            "no linear recurrence exists"
+        )
+    return (u[:-1, :] @ pi1)[::-1] / (1.0 - nu2), nu2
 
 
 def recurrence_coefficients(
@@ -48,22 +65,30 @@ def recurrence_coefficients(
     admits no recurrence.
     """
     grouping.validate(eig.d)
-    window = eig.vectors.shape[0]
-    if window < 2:
+    if eig.vectors.shape[0] < 2:
         raise ParameterError("recurrence needs window >= 2")
     idx = np.asarray(grouping.indices, dtype=int) - 1
-    u = eig.vectors[:, idx]
-    pi1 = u[-1, :]
-    nu2 = float(pi1 @ pi1)
-    if nu2 >= 1.0 - VERTICALITY_TOL:
-        raise VerticalityError(
-            f"selected eigenspace is vertical (nu^2 = {nu2:.17g}); "
-            "no linear recurrence exists"
-        )
-    alpha = (u[:-1, :] @ pi1)[::-1] / (1.0 - nu2)
+    alpha, nu2 = _recurrence(eig.vectors[:, idx])
     alpha = np.ascontiguousarray(alpha)
     alpha.flags.writeable = False
     return RecurrenceCoefficients(alpha=alpha, verticality=nu2)
+
+
+def _run_recurrence(
+    alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, horizon) forecast channels of one recurrence per row, all rows
+    stepped together: row r weighs lag j by alpha[r, j-1] and starts from
+    lo[r], hi[r] (oldest first).  Every step orders the two channel
+    predictions into an interval and feeds the ordered endpoints back."""
+    rows, order = alpha.shape
+    ar = alpha[:, ::-1]
+    buf = np.empty((2, rows, order + horizon))
+    buf[:, :, :order] = lo, hi
+    for t in range(horizon):
+        x = np.einsum("rj,crj->cr", ar, buf[:, :, t : t + order])
+        buf[0, :, order + t], buf[1, :, order + t] = phi_arrays(x[0], x[1])
+    return buf[0, :, order:], buf[1, :, order:]
 
 
 @dataclass(frozen=True)
@@ -91,26 +116,10 @@ def forecast_recurrent(
             f"trendline has {len(trend)} values; recurrence of order {order} "
             "needs at least that many"
         )
-    ar = coef.alpha[::-1]
-    state_a = trend.lo[-order:].copy()
-    state_b = trend.hi[-order:].copy()
-    out_lo = np.empty(horizon)
-    out_hi = np.empty(horizon)
-    for t in range(horizon):
-        xa = float(ar @ state_a)
-        xb = float(ar @ state_b)
-        lo, hi = (xa, xb) if xa <= xb else (xb, xa)
-        out_lo[t] = lo
-        out_hi[t] = hi
-        state_a[:-1] = state_a[1:]
-        state_a[-1] = lo
-        state_b[:-1] = state_b[1:]
-        state_b[-1] = hi
-    return ForecastResult(
-        values=IntervalSeries(out_lo, out_hi),
-        horizon=horizon,
-        origin=len(trend),
+    lo, hi = _run_recurrence(
+        coef.alpha[None, :], trend.lo[None, -order:], trend.hi[None, -order:], horizon
     )
+    return ForecastResult(IntervalSeries(lo[0], hi[0]), horizon, len(trend))
 
 
 def default_l_grid(n: int) -> tuple[int, ...]:
@@ -127,13 +136,15 @@ class OosResult:
 
     ``objective[(l, m)]`` is the Hausdorff forecast error summed over all
     expanding windows (inf for failed cells); ties prefer smaller m, then
-    smaller l.
+    smaller l.  ``failure_reasons`` gives each failed cell's first cause in
+    ascending fit length: ``"rank"`` (m > d) or ``"vertical"`` (nu^2 ~ 1).
     """
 
     window: int
     m: int
     objective: dict[tuple[int, int], float]
     failed: frozenset[tuple[int, int]]
+    failure_reasons: dict[tuple[int, int], str]
     l_grid: tuple[int, ...]
     m_grid: tuple[int, ...]
     w0: int
@@ -142,40 +153,45 @@ class OosResult:
     n_windows: int
 
 
-def _oos_cell(args) -> tuple[int, int, dict[int, float | None]]:
-    """Forecast errors of every m for one (window, fit-length) pair.
-
-    Returns per-m summed Hausdorff error over the p-step forecast, or None
-    where the fit failed (rank short of m, or a vertical eigenspace).
-    """
-    y_lo, y_hi, window, w, m_list, p, rank_eps = args
-    sub = IntervalSeries(y_lo[:w], y_hi[:w])
-    out: dict[int, float | None] = {}
-    dec = decompose(sub, window, rank_eps=rank_eps)
-    feasible = [m for m in m_list if m <= dec.d]
-    for m in m_list:
-        if m > dec.d:
-            out[m] = None
-    if not feasible:
-        return window, w, out
-    ca, cb = dec.component_channels(range(1, max(feasible) + 1))
-    ta = np.cumsum(ca, axis=0)
-    tb = np.cumsum(cb, axis=0)
-    true_lo = y_lo[w : w + p]
-    true_hi = y_hi[w : w + p]
-    for m in feasible:
-        try:
-            coef = recurrence_coefficients(dec.eig, Grouping.leading(m))
-        except VerticalityError:
-            out[m] = None
-            continue
-        lo, hi = phi_arrays(ta[m - 1], tb[m - 1])
-        fc = forecast_recurrent(IntervalSeries(lo, hi), coef, p)
-        err = np.maximum(
-            np.abs(true_lo - fc.values.lo), np.abs(true_hi - fc.values.hi)
+def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
+    """(len(fits), len(m_grid)) forecast errors of one window (inf where the
+    fit failed) and the first failure reason of each failed m.  Fits are
+    built from the trajectory grids, with no series or pair-matrix object."""
+    y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
+    order = window - 1
+    errors = np.full((len(fits), len(m_grid)), np.inf)
+    reasons: dict[int, str] = {}
+    rows, alphas, starts = [], [], []
+    for i, w in enumerate(fits):
+        idx = np.arange(window)[:, None] + np.arange(w - order)[None, :]
+        a, b = y_lo[idx], y_hi[idx]
+        dec = _build(a, b, _gram(a, b), StackingMode.UNIVARIATE, window, 1, w, rank_eps)
+        feasible = [m for m in m_grid if m <= dec.d]
+        for m in m_grid[len(feasible) :]:
+            reasons.setdefault(m, "rank")
+        ca, cb = dec.component_channels(range(1, max(feasible, default=0) + 1))
+        trend_lo, trend_hi = phi_arrays(
+            np.cumsum(ca[:, -order:], axis=0), np.cumsum(cb[:, -order:], axis=0)
         )
-        out[m] = float(err.sum())
-    return window, w, out
+        for j, m in enumerate(feasible):
+            try:
+                alpha, _ = _recurrence(dec.eig.vectors[:, :m])
+            except VerticalityError:
+                reasons.setdefault(m, "vertical")
+                continue
+            rows.append((i, j))
+            alphas.append(alpha)
+            starts.append((trend_lo[m - 1], trend_hi[m - 1]))
+    if rows:
+        fit_at, m_at = np.array(rows).T
+        start_lo, start_hi = np.array(starts).transpose(1, 0, 2)
+        lo, hi = _run_recurrence(np.array(alphas), start_lo, start_hi, p)
+        ahead = np.asarray(fits)[fit_at, None] + np.arange(p)
+        err = np.maximum(np.abs(y_lo[ahead] - lo), np.abs(y_hi[ahead] - hi))
+        if not np.all(np.isfinite(err)):
+            raise InvalidValueError("a recurrent forecast overflows float64")
+        errors[fit_at, m_at] = err.sum(axis=1)
+    return errors, reasons
 
 
 def select_params_oos(
@@ -191,7 +207,8 @@ def select_params_oos(
 
     Every grid cell refits on y[:w] for w = w0, w0+stride, ... <= n-p,
     forecasts p steps, and accumulates the Hausdorff distance to the held
-    out values.  A cell where any window fails is disqualified.
+    out values.  A cell where any window fails is disqualified.  Each
+    candidate window is one task for ``run_tasks``.
     """
     n = len(y)
     if p < 1:
@@ -219,24 +236,14 @@ def select_params_oos(
             f"first fit length w0 = {w0} plus horizon {p} exceeds n = {n}"
         )
     windows = list(range(w0, n - p + 1, stride))
-    tasks = [
-        (y.lo, y.hi, window, w, m_grid, p, rank_eps)
-        for window in l_grid
-        for w in windows
-    ]
-    results = run_tasks(_oos_cell, tasks)
-    objective: dict[tuple[int, int], float] = {
-        (window, m): 0.0 for window in l_grid for m in m_grid
-    }
-    failed: set[tuple[int, int]] = set()
-    for window, _w, out in results:
-        for m, err in out.items():
-            if err is None:
-                failed.add((window, m))
-            else:
-                objective[(window, m)] += err
-    for cell in failed:
-        objective[cell] = math.inf
+    tasks = [(y.lo, y.hi, window, windows, m_grid, p, rank_eps) for window in l_grid]
+    objective: dict[tuple[int, int], float] = {}
+    failure_reasons: dict[tuple[int, int], str] = {}
+    for window, (errors, reasons) in zip(l_grid, run_tasks(_oos_window, tasks)):
+        # cumsum adds the fit lengths in ascending order; a failed fit is inf
+        totals = np.cumsum(errors, axis=0)[-1].tolist()
+        objective.update(((window, m), total) for m, total in zip(m_grid, totals))
+        failure_reasons.update(((window, m), r) for m, r in reasons.items())
     best = min(
         ((objective[(window, m)], m, window) for window in l_grid for m in m_grid),
     )
@@ -248,7 +255,8 @@ def select_params_oos(
         window=best[2],
         m=best[1],
         objective=objective,
-        failed=frozenset(failed),
+        failed=frozenset(failure_reasons),
+        failure_reasons=failure_reasons,
         l_grid=l_grid,
         m_grid=m_grid,
         w0=w0,

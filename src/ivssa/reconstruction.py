@@ -71,7 +71,7 @@ def trendline(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErcSet:
     """Elementary reconstructed components.
 

@@ -50,7 +50,7 @@ def ks_critical_value(alpha: float) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodogramResult:
     """Interval periodogram over the Fourier frequencies 2*pi*j/n, j = 1..J.
 

@@ -52,3 +52,11 @@ def structured_series(n: int, seed: int = 0, noise: float = 0.1) -> IntervalSeri
     lo = mid - 1 + noise * rng.standard_normal(n)
     hi = mid + 1 + noise * rng.standard_normal(n)
     return IntervalSeries(np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def assert_compares_by_identity(make) -> None:
+    """Two results built from the same input are distinct, hashable objects:
+    ``==`` is identity, never an elementwise comparison of array fields."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b}) == 2

@@ -163,6 +163,33 @@ def hausdorff_mean_loop(t_lo, t_hi, e_lo, e_hi) -> float:
     return acc / n
 
 
+def forecast_loop(
+    trend_lo: np.ndarray, trend_hi: np.ndarray, alpha: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar recurrent forecast, one step and one endpoint channel at a time.
+
+    alpha[j-1] multiplies lag j; each step orders the two channel
+    predictions into an interval and feeds the ordered endpoints back.
+    """
+    order = alpha.size
+    ar = alpha[::-1]
+    state_a = trend_lo[-order:].copy()
+    state_b = trend_hi[-order:].copy()
+    out_lo = np.empty(horizon)
+    out_hi = np.empty(horizon)
+    for t in range(horizon):
+        xa = float(ar @ state_a)
+        xb = float(ar @ state_b)
+        lo, hi = (xa, xb) if xa <= xb else (xb, xa)
+        out_lo[t] = lo
+        out_hi[t] = hi
+        state_a[:-1] = state_a[1:]
+        state_a[-1] = lo
+        state_b[:-1] = state_b[1:]
+        state_b[-1] = hi
+    return out_lo, out_hi
+
+
 def oos_objective_loop(y, l_grid, m_grid, w0, p, stride):
     """Nested-loop out-of-sample objective table over (l, m) cells.
 

@@ -155,6 +155,13 @@ class TestIntervalSeries:
         with pytest.raises(ShapeError):
             IntervalSeries([0.0], [1.0], labels=("a", "b"))
 
+    def test_value_eq_but_unhashable(self):
+        y = IntervalSeries([0.0, 1.0], [1.0, 3.0])
+        assert y == IntervalSeries([0.0, 1.0], [1.0, 3.0])
+        assert y != IntervalSeries([0.0, 1.0], [1.0, 4.0])
+        with pytest.raises(TypeError, match="IntervalSeries"):
+            hash(y)
+
     def test_arrays_readonly(self):
         y = IntervalSeries([0.0], [1.0])
         with pytest.raises(ValueError):

@@ -18,7 +18,13 @@ from ivssa import (
     stacked_covariance,
     symbolic_covariance,
 )
-from helpers import make_rng, random_pair_matrix, random_series, structured_series
+from helpers import (
+    assert_compares_by_identity,
+    make_rng,
+    random_pair_matrix,
+    random_series,
+    structured_series,
+)
 from oracles import symbolic_cov_loop, symbolic_cross_cov_loop
 
 
@@ -173,6 +179,14 @@ class TestEigenSym:
 
 
 class TestDecompose:
+    def test_decomposition_compares_by_identity(self):
+        y = structured_series(40, seed=5)
+        assert_compares_by_identity(lambda: decompose(y, 10))
+
+    def test_eigenpairs_compare_by_identity(self):
+        y = structured_series(40, seed=5)
+        assert_compares_by_identity(lambda: decompose(y, 10).eig)
+
     def test_default_window(self):
         y = random_series(make_rng(13), 40)
         dec = decompose(y)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ivssa.forecasting as forecasting
+import ivssa.parallel as parallel
 from ivssa import (
     EigenPairs,
     Grouping,
@@ -17,8 +21,9 @@ from ivssa import (
     select_params_oos,
     trendline,
 )
-from helpers import make_rng, structured_series
-from oracles import oos_objective_loop
+from ivssa.forecasting import _run_recurrence
+from helpers import assert_compares_by_identity, make_rng, structured_series
+from oracles import forecast_loop, oos_objective_loop
 
 
 def eigenpairs_from_vectors(vectors: np.ndarray) -> EigenPairs:
@@ -68,6 +73,13 @@ class TestRecurrenceCoefficients:
         with pytest.raises(ParameterError):
             recurrence_coefficients(eigenpairs_from_vectors(u), Grouping((2,)))
 
+    def test_compares_by_identity(self):
+        u = np.array([[1.0], [2.0], [4.0]]) / math.sqrt(21.0)
+        eig = eigenpairs_from_vectors(u)
+        assert_compares_by_identity(
+            lambda: recurrence_coefficients(eig, Grouping((1,)))
+        )
+
     def test_window_one_rejected(self):
         u = np.array([[1.0]])
         with pytest.raises(ParameterError):
@@ -114,6 +126,71 @@ class TestForecastRecurrent:
             forecast_recurrent(trend, coef, 3)
 
 
+def geometric_case():
+    t = np.arange(1, 31, dtype=float)
+    vals = 2.0**t
+    dec = decompose(IntervalSeries(vals, vals.copy()), 3)
+    trend = trendline(dec, Grouping((1,)))[0]
+    return trend, recurrence_coefficients(dec.eig, Grouping((1,))).alpha, 5
+
+
+def reordering_case():
+    return IntervalSeries([1.0], [2.0]), np.array([-1.0]), 3
+
+
+def long_trend_case(m: int = 4):
+    # window 50 on 100 points: a recurrence of order 49
+    dec = decompose(structured_series(100, seed=6, noise=0.2), 50)
+    trend = trendline(dec, Grouping.leading(m))[0]
+    return trend, recurrence_coefficients(dec.eig, Grouping.leading(m)).alpha, 24
+
+
+class TestRecurrenceStepper:
+    """The one recurrence stepper against the scalar loop of ``forecast_loop``."""
+
+    @pytest.mark.parametrize("case", [geometric_case, reordering_case, long_trend_case])
+    def test_one_row_matches_scalar_loop(self, case):
+        trend, alpha, horizon = case()
+        coef = RecurrenceCoefficients(alpha=alpha, verticality=0.0)
+        fc = forecast_recurrent(trend, coef, horizon)
+        want_lo, want_hi = forecast_loop(trend.lo, trend.hi, alpha, horizon)
+        np.testing.assert_allclose(fc.values.lo, want_lo, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(fc.values.hi, want_hi, rtol=1e-13, atol=0)
+
+    def test_rows_advance_independently(self):
+        cases = [long_trend_case(m) for m in range(1, 7)]
+        alpha = np.array([c[1] for c in cases])
+        lo, hi = _run_recurrence(
+            alpha,
+            np.array([c[0].lo[-49:] for c in cases]),
+            np.array([c[0].hi[-49:] for c in cases]),
+            24,
+        )
+        for r, (trend, a, horizon) in enumerate(cases):
+            want_lo, want_hi = forecast_loop(trend.lo, trend.hi, a, horizon)
+            np.testing.assert_allclose(lo[r], want_lo, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(hi[r], want_hi, rtol=1e-13, atol=0)
+
+
+def assert_matches_oracle(y, l_grid, m_grid, w0, p, stride):
+    """Same failed set, same pick and the same objectives as the nested loop."""
+    ref = oos_objective_loop(y, l_grid, m_grid, w0=w0, p=p, stride=stride)
+    want_failed = {cell for cell, v in ref.items() if math.isinf(v)}
+    if len(want_failed) == len(ref):
+        with pytest.raises(ParameterError):
+            select_params_oos(y, l_grid=l_grid, m_grid=m_grid, w0=w0, p=p, stride=stride)
+        return None
+    res = select_params_oos(y, l_grid=l_grid, m_grid=m_grid, w0=w0, p=p, stride=stride)
+    assert res.failed == want_failed
+    assert set(res.failure_reasons) == want_failed
+    for cell, want in ref.items():
+        if not math.isinf(want):
+            assert res.objective[cell] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    best = min((v, cell[1], cell[0]) for cell, v in ref.items())
+    assert (res.window, res.m) == (best[2], best[1])
+    return res
+
+
 class TestDefaultLGrid:
     def test_values(self):
         assert default_l_grid(105) == (21, 27, 35, 53)
@@ -152,7 +229,83 @@ class TestSelectParamsOos:
         res = select_params_oos(y, l_grid=(5,), m_grid=(1, 4), w0=20, p=5)
         assert (5, 4) in res.failed
         assert math.isinf(res.objective[(5, 4)])
+        assert res.failure_reasons == {(5, 4): "rank"}
         assert res.m == 1
+
+    @staticmethod
+    def vertical_series() -> IntervalSeries:
+        # The mid channel is nonzero only before t = l-1 = 4, so the last
+        # trajectory row of C is zero; one radius spike at t = 7 adds
+        # e_l e_l' * 1e-6/3 to S.  From the fit y[:8] on, e_l is the 5th
+        # eigenvector: m = 5 is vertical and m = 1..4 have nu^2 = 0.
+        mid = np.zeros(14)
+        mid[:4] = [3.0, 1.0, 2.0, 1.0]
+        rad = np.zeros(14)
+        rad[7] = 1e-3
+        return IntervalSeries(mid - rad, mid + rad)
+
+    def test_vertical_cells_fail(self):
+        y = self.vertical_series()
+        res = assert_matches_oracle(y, (5,), (1, 5, 6), w0=8, p=3, stride=1)
+        assert res.failure_reasons == {(5, 5): "vertical", (5, 6): "rank"}
+        assert (res.window, res.m) == (5, 1)
+
+    def test_first_reason_in_ascending_fit_length_kept(self):
+        # y[:7] ends before the spike: d = 4, so m = 5 is short of rank
+        # there and only vertical from y[:8] on
+        y = self.vertical_series()
+        res = select_params_oos(y, l_grid=(5,), m_grid=(1, 5), w0=7, p=3)
+        assert res.failure_reasons == {(5, 5): "rank"}
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(24, 60),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.2, 1.0]),
+        stride=st.integers(1, 3),
+        p=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matches_oracle_property(self, n, seed, noise, stride, p, data):
+        y = structured_series(n, seed=seed, noise=noise)
+        l_grid = tuple(sorted(data.draw(
+            st.lists(st.integers(2, n - p - 1), min_size=1, max_size=3, unique=True)
+        )))
+        m_grid = tuple(sorted(data.draw(
+            st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True)
+        )))
+        assert_matches_oracle(y, l_grid, m_grid, max(l_grid) + 1, p, stride)
+
+    def test_matches_oracle_on_bench_shape(self):
+        # 100 points, the default window grid (20, 25, 34, 50), m = 1..8,
+        # p = 12: the first fit at l = 50 has k = 2, so m > 4 is short of rank
+        y = structured_series(100, seed=11, noise=0.3)
+        res = assert_matches_oracle(
+            y, default_l_grid(100), tuple(range(1, 9)), w0=51, p=12, stride=1
+        )
+        assert {(50, m) for m in range(5, 9)} <= res.failed
+        assert set(res.failure_reasons.values()) == {"rank"}
+
+    def test_parallel_path_matches_serial(self, monkeypatch):
+        y = structured_series(40, seed=8, noise=0.2)
+        kwargs = dict(l_grid=(5, 8, 12), m_grid=(1, 2, 3, 6), p=4, stride=2)
+        monkeypatch.delenv(parallel.ENV_VAR, raising=False)
+        serial = select_params_oos(y, **kwargs)
+        calls = []
+
+        def recording_run_tasks(func, tasks):
+            calls.append((parallel.worker_count(), len(tasks)))
+            return parallel.run_tasks(func, tasks)
+
+        monkeypatch.setattr(forecasting, "run_tasks", recording_run_tasks)
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+        monkeypatch.setenv(parallel.ENV_VAR, "2")
+        pooled = select_params_oos(y, **kwargs)
+        assert calls == [(2, 3)]  # two workers, one task per window
+        assert pooled.objective == serial.objective
+        assert pooled.failed == serial.failed
+        assert pooled.failure_reasons == serial.failure_reasons
+        assert (pooled.window, pooled.m) == (serial.window, serial.m)
 
     def test_default_grids_run(self):
         y = structured_series(60, seed=3, noise=0.2)

@@ -450,6 +450,9 @@ class TestCliSelectParams:
         got = {
             (c["window"], c["m"]): c["objective"] for c in doc["oos"]["cells"]
         }
+        assert {
+            (c["window"], c["m"]): c["failure"] for c in doc["oos"]["cells"]
+        } == {cell: oos.failure_reasons.get(cell) for cell in oos.objective}
         for cell, val in oos.objective.items():
             if math.isinf(val):
                 assert got[cell] is None

@@ -22,7 +22,13 @@ from ivssa import (
     write_series_csv,
 )
 from ivssa.cli import main as cli_main
-from helpers import make_rng, random_pair_matrix, random_series, structured_series
+from helpers import (
+    assert_compares_by_identity,
+    make_rng,
+    random_pair_matrix,
+    random_series,
+    structured_series,
+)
 from oracles import c_norm, diag_avg_loop, hankelize
 
 
@@ -132,6 +138,10 @@ class TestTrendline:
 
 
 class TestErcs:
+    def test_compares_by_identity(self):
+        dec = decompose(random_series(make_rng(14), 30), 8)
+        assert_compares_by_identity(lambda: reconstruct_ercs(dec, 2))
+
     def test_pairs_sum_to_input(self):
         y = random_series(make_rng(14), 30)
         dec = decompose(y, 8)

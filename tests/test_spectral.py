@@ -16,7 +16,7 @@ from ivssa import (
     select_components,
     select_from_decomposition,
 )
-from helpers import make_rng, random_series, structured_series
+from helpers import assert_compares_by_identity, make_rng, random_series, structured_series
 from oracles import periodogram_loop
 
 
@@ -63,6 +63,10 @@ class TestKsCriticalValue:
 
 
 class TestPeriodogram:
+    def test_result_compares_by_identity(self):
+        e = white_noise_series(3, 40)
+        assert_compares_by_identity(lambda: periodogram(e))
+
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 40, 41])
     def test_matches_loop_oracle(self, n):
         e = white_noise_series(3, n)
