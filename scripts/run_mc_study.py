@@ -5,15 +5,18 @@ default; pass --reps 200 for the quicker desk-scale run), writes the
 report JSON plus a flat hr_summary CSV, and prints per-cell tables of
 mean HR by m with the whiteness-selected m mode underneath.
 
-Serial runtime is a few minutes at reps=1000; set --threads (or export
-IVSSA_THREADS) to spread replications over processes.
+Runtime is a few minutes at reps=1000.  Replications run in order, in
+one process; BLAS threads follow the BLAS's own variable (for example
+OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import time
+
+from ivssa import __version__, run_monte_carlo
+from ivssa.io import write_json, write_table_csv
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -63,16 +66,8 @@ def main() -> None:
     ap.add_argument("--n-list", default="100,250")
     ap.add_argument("--m-list", default="1,2,3,4,5,6,7,8")
     ap.add_argument("--alpha", type=float, default=0.05)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default="mc_full", help="output path prefix")
     args = ap.parse_args()
-
-    if args.threads is not None:
-        os.environ["IVSSA_THREADS"] = str(args.threads)
-
-    # import after the env var is pinned so workers inherit it
-    from ivssa import __version__, run_monte_carlo
-    from ivssa.io import write_json, write_table_csv
 
     scenarios = ("A", "B") if args.scenario == "both" else (args.scenario,)
     t0 = time.monotonic()

@@ -2,8 +2,9 @@
 
 One stepper, ``_run_recurrence``, advances many recurrences at once;
 ``forecast_recurrent`` is its one-row call.  The grid search runs one task
-per window l: it fits each prefix y[:w] with ``decompose``'s fit function
-on the trajectory grids, then forecasts all (w, m) rows together.
+per window l, in order, in this process: it fits each prefix y[:w] with
+``decompose``'s fit function on the trajectory grids, then forecasts all
+(w, m) rows together.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ class RecurrenceCoefficients:
 
 def _recurrence(u: np.ndarray) -> tuple[np.ndarray, float]:
     """(alpha, nu^2) of the eigenvectors in the columns of u; raises
-    ``VerticalityError`` when nu^2 >= 1 - VERTICALITY_TOL."""
+    ``VerticalityError`` when nu^2 >= 1 - VERTICALITY_TOL.  A contiguous copy
+    makes the bits independent of how u was sliced."""
+    u = np.ascontiguousarray(u)
     pi1 = u[-1, :]
     nu2 = float(pi1 @ pi1)
     if nu2 >= 1.0 - VERTICALITY_TOL:
@@ -207,8 +210,8 @@ def select_params_oos(
 
     Every grid cell refits on y[:w] for w = w0, w0+stride, ... <= n-p,
     forecasts p steps, and accumulates the Hausdorff distance to the held
-    out values.  A cell where any window fails is disqualified.  Each
-    candidate window is one task for ``run_tasks``.
+    out values.  A cell where any window fails is disqualified.  The
+    candidate windows run one after another, one ``run_tasks`` task each.
     """
     n = len(y)
     if p < 1:

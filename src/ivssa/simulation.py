@@ -134,30 +134,14 @@ def hausdorff_residual_mean(truth: IntervalSeries, estimate: IntervalSeries) -> 
 
 
 def _prefix_hr(
-    dec: Decomposition,
-    truths: Sequence[IntervalSeries],
-    m_list: Sequence[int],
-) -> dict[int, tuple[float, ...] | None]:
-    """Per-series HR of every leading-m trendline, sharing one prefix scan."""
-    out: dict[int, tuple[float, ...] | None] = {}
-    feasible = [m for m in m_list if m <= dec.d]
-    for m in m_list:
-        if m > dec.d:
-            out[m] = None
-    if not feasible:
-        return out
-    prefixes = []
-    for s in range(1, dec.n_series + 1):
-        ca, cb = dec.component_channels(range(1, max(feasible) + 1), s)
-        prefixes.append((np.cumsum(ca, axis=0), np.cumsum(cb, axis=0)))
-    for m in feasible:
-        out[m] = tuple(
-            hausdorff_residual_mean(
-                truth, IntervalSeries(*phi_arrays(ta[m - 1], tb[m - 1]))
-            )
-            for truth, (ta, tb) in zip(truths, prefixes)
-        )
-    return out
+    dec: Decomposition, series_index: int, truth: IntervalSeries, m_top: int
+) -> list[float]:
+    """HR of the leading-m trendlines of one series for m = 1..m_top, from
+    one prefix sum of the components and no series object per m."""
+    ca, cb = dec.component_channels(range(1, m_top + 1), series_index)
+    lo, hi = phi_arrays(np.cumsum(ca, axis=0), np.cumsum(cb, axis=0))
+    gaps = np.maximum(np.abs(truth.lo - lo), np.abs(truth.hi - hi))
+    return [float(g.mean()) for g in gaps]
 
 
 @dataclass(frozen=True)
@@ -188,77 +172,52 @@ class McSelectionRow:
     converged: bool
 
 
+def _fits(method: str, data: ScenarioData) -> list[tuple[Decomposition, int]]:
+    """(decomposition, series index) of x and of y for one method: two
+    univariate fits for ivssa, one stacked fit read twice otherwise."""
+    if method == "ivssa":
+        return [(decompose(data.x), 1), (decompose(data.y), 1)]
+    mode = StackingMode.VERTICAL if method == "v-mivssa" else StackingMode.HORIZONTAL
+    dec = decompose_stacked([data.x, data.y], mode=mode)
+    return [(dec, 1), (dec, 2)]
+
+
 def _mc_replication(args) -> tuple[list[McRow], list[McSelectionRow]]:
     scenario, n, rep, seed, m_list, methods, alpha, max_m = args
     data = simulate_scenario(ScenarioConfig.from_name(scenario, n, seed))
+    streams = (("x", data.x, data.x_mean), ("y", data.y, data.y_mean))
+    cell = dict(scenario=scenario, n=n, rep=rep, seed=seed)
     rows: list[McRow] = []
     selections: list[McSelectionRow] = []
-
-    def record_hr(method: str, hr_map: dict[int, tuple[float, ...] | None]):
-        for m in m_list:
-            hrs = hr_map.get(m)
-            rows.append(
-                McRow(
-                    scenario=scenario,
-                    n=n,
-                    method=method,
-                    m=m,
-                    rep=rep,
-                    seed=seed,
-                    hr_x=None if hrs is None else hrs[0],
-                    hr_y=None if hrs is None else hrs[1],
-                )
-            )
-
-    def record_sel(method: str, series: str, dec, raw, series_index: int):
-        try:
-            sel = select_from_decomposition(
-                dec, raw, series_index=series_index, alpha=alpha, max_m=max_m
-            )
-            m, conv = sel.m, sel.converged
-        except (IvssaError, np.linalg.LinAlgError):
-            m, conv = None, False
-        selections.append(
-            McSelectionRow(
-                scenario=scenario,
-                n=n,
-                method=method,
-                series=series,
-                rep=rep,
-                seed=seed,
-                m=m,
-                converged=conv,
-            )
-        )
-
     for method in methods:
         try:
-            if method == "ivssa":
-                dec_x = decompose(data.x)
-                dec_y = decompose(data.y)
-                hr_x = _prefix_hr(dec_x, [data.x_mean], m_list)
-                hr_y = _prefix_hr(dec_y, [data.y_mean], m_list)
-                merged: dict[int, tuple[float, ...] | None] = {}
-                for m in m_list:
-                    a, b = hr_x.get(m), hr_y.get(m)
-                    merged[m] = None if a is None or b is None else (a[0], b[0])
-                record_hr(method, merged)
-                record_sel(method, "x", dec_x, data.x, 1)
-                record_sel(method, "y", dec_y, data.y, 1)
-            else:
-                mode = (
-                    StackingMode.VERTICAL
-                    if method == "v-mivssa"
-                    else StackingMode.HORIZONTAL
-                )
-                dec = decompose_stacked([data.x, data.y], mode=mode)
-                record_hr(
-                    method, _prefix_hr(dec, [data.x_mean, data.y_mean], m_list)
-                )
-                record_sel(method, "x", dec, data.x, 1)
-                record_sel(method, "y", dec, data.y, 2)
+            fits = _fits(method, data)
         except (IvssaError, np.linalg.LinAlgError):
-            record_hr(method, {})
+            fits = []
+        # a row's HRs need m within the rank of every fit of the method
+        rank = min((dec.d for dec, _ in fits), default=0)
+        m_top = max((m for m in m_list if m <= rank), default=0)
+        hrs = [
+            _prefix_hr(dec, s, truth, m_top) if m_top else []
+            for (dec, s), (_, _, truth) in zip(fits, streams)
+        ]
+        for m in m_list:
+            hr_x, hr_y = (hrs[0][m - 1], hrs[1][m - 1]) if m <= m_top else (None, None)
+            rows.append(McRow(method=method, m=m, hr_x=hr_x, hr_y=hr_y, **cell))
+        for j, (series, raw, _) in enumerate(streams):
+            m, conv = None, False
+            if fits:
+                dec, s = fits[j]
+                try:
+                    sel = select_from_decomposition(
+                        dec, raw, series_index=s, alpha=alpha, max_m=max_m
+                    )
+                    m, conv = sel.m, sel.converged
+                except (IvssaError, np.linalg.LinAlgError):
+                    pass
+            selections.append(
+                McSelectionRow(method=method, series=series, m=m, converged=conv, **cell)
+            )
     return rows, selections
 
 
@@ -422,8 +381,8 @@ def run_monte_carlo(
     """Replicate every (scenario, n) cell and collect HR and selection rows.
 
     Replication r (0-based) draws from seed base_seed + r; the same seeds
-    recur across cells so methods face identical noise.  Work is spread over
-    processes when IVSSA_THREADS permits, with a fixed reduce order.
+    recur across cells so methods face identical noise.  Replications run
+    in order, in this process.
     """
     if isinstance(scenarios, str):
         scenarios = (scenarios,)

@@ -1,23 +1,31 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ivssa.simulation as simulation
 from ivssa import (
     Grouping,
+    InvalidValueError,
     McReport,
     McRow,
     McSelectionRow,
     ParameterError,
     ScenarioConfig,
     ShapeError,
+    StackingMode,
     decompose,
+    decompose_stacked,
     hausdorff_residual_mean,
     run_monte_carlo,
     simulate_scenario,
     trendline,
 )
-from helpers import make_rng, random_series
+from helpers import child_env, make_rng, random_series
 from oracles import hausdorff_mean_loop
 
 
@@ -145,31 +153,30 @@ class TestRunMonteCarlo:
         assert all(r.seed == 7 + r.rep for r in rep.hr_rows)
 
     def test_hr_matches_direct_fit(self, small_report):
-        # recompute one cell straight from the public pipeline
+        # recompute every method's cells of one replication straight from
+        # the public pipeline, for both series
         data = simulate_scenario(ScenarioConfig.scenario_a(40, seed=8))
-        dec = decompose(data.x)
-        want = hausdorff_residual_mean(
-            data.x_mean, trendline(dec, Grouping.leading(2))[0]
-        )
-        row = next(
-            r
-            for r in small_report.hr_rows
-            if r.method == "ivssa" and r.m == 2 and r.rep == 1
-        )
-        assert row.hr_x == pytest.approx(want, rel=1e-12)
+        truths = (data.x_mean, data.y_mean)
+        vertical = decompose_stacked([data.x, data.y], mode=StackingMode.VERTICAL)
+        horizontal = decompose_stacked([data.x, data.y], mode=StackingMode.HORIZONTAL)
+        fits = {
+            "ivssa": [(decompose(data.x), 0), (decompose(data.y), 0)],
+            "v-mivssa": [(vertical, 0), (vertical, 1)],
+            "h-mivssa": [(horizontal, 0), (horizontal, 1)],
+        }
+        rows = [r for r in small_report.hr_rows if r.rep == 1]
+        assert len(rows) == 9
+        for row in rows:
+            got = (row.hr_x, row.hr_y)
+            for hr, truth, (dec, s) in zip(got, truths, fits[row.method]):
+                trend = trendline(dec, Grouping.leading(row.m))[s]
+                assert hr == hausdorff_residual_mean(truth, trend)
 
     def test_determinism(self, small_report):
         again = run_monte_carlo(
             scenarios="A", n_list=(40,), m_list=(1, 2, 3), reps=3, base_seed=7
         )
         assert again.to_dict() == small_report.to_dict()
-
-    def test_parallel_matches_serial(self, small_report, monkeypatch):
-        monkeypatch.setenv("IVSSA_THREADS", "2")
-        par = run_monte_carlo(
-            scenarios="A", n_list=(40,), m_list=(1, 2, 3), reps=3, base_seed=7
-        )
-        assert par.to_dict() == small_report.to_dict()
 
     def test_report_helpers(self, small_report):
         rep = small_report
@@ -206,11 +213,67 @@ class TestRunMonteCarlo:
         with pytest.raises(ParameterError):
             run_monte_carlo(m_list=(0, 1), reps=1)
 
+    def test_failed_fit_keeps_selection_rows(self, monkeypatch):
+        def failing(series, mode):
+            raise InvalidValueError(f"{mode} fit failed")
+
+        monkeypatch.setattr(simulation, "decompose_stacked", failing)
+        rep = run_monte_carlo(
+            scenarios="A", n_list=(40,), m_list=(1, 2), reps=1, base_seed=7
+        )
+        for method in ("v-mivssa", "h-mivssa"):
+            hr = [r for r in rep.hr_rows if r.method == method]
+            assert [(r.hr_x, r.hr_y) for r in hr] == [(None, None)] * 2
+            sel = [r for r in rep.selection_rows if r.method == method]
+            assert [(r.series, r.m, r.converged) for r in sel] == [
+                ("x", None, False),
+                ("y", None, False),
+            ]
+        assert len(rep.selection_rows) == 3 * 2
+        assert rep.hr_values("A", 40, "ivssa", 2, "y").size == 1
+
     def test_max_m_below_one_rejected(self):
         # checked before any replication runs, not recorded as failed rows
         for bad in (0, -3):
             with pytest.raises(ParameterError, match=f"got {bad}"):
                 run_monte_carlo(reps=1, max_m=bad)
+
+
+MC_SCRIPT = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts", "run_mc_study.py"
+)
+
+
+def run_mc_script(*args: str, cwd: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, MC_SCRIPT, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=child_env(),
+    )
+
+
+class TestRunMcStudyScript:
+    def test_small_study_writes_outputs(self, tmp_path):
+        proc = run_mc_script(
+            "--reps", "2", "--n-list", "40", "--scenario", "A", "--out", "mc", cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "mc.json") as fh:
+            doc = json.load(fh)
+        assert doc["command"] == "mc"
+        assert len(doc["hr_rows"]) == 2 * 3 * 8  # reps x methods x m values
+        assert len(doc["selection_rows"]) == 2 * 3 * 2  # reps x methods x series
+        header = (tmp_path / "mc.hr_summary.csv").read_text().splitlines()[0]
+        assert header.startswith("scenario,n,method,m,hr_x_mean")
+        assert "scenario A, n = 40" in proc.stdout
+
+    def test_threads_flag_rejected(self, tmp_path):
+        proc = run_mc_script("--reps", "1", "--threads", "2", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestReportTieBreaks:
