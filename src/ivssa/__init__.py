@@ -10,7 +10,6 @@ jointly by stacking their trajectory matrices.
 from .core import (
     CsvError,
     DegenerateSpectrumError,
-    Interval,
     IntervalSeries,
     InvalidValueError,
     IvssaError,
@@ -18,8 +17,6 @@ from .core import (
     ParameterError,
     ShapeError,
     VerticalityError,
-    hausdorff,
-    phi,
     phi_arrays,
 )
 from .decomposition import (
@@ -59,7 +56,6 @@ from .simulation import (
 from .spectral import (
     PeriodogramResult,
     SelectionResult,
-    interval_residuals,
     ks_critical_value,
     periodogram,
     residual_whiteness,
@@ -78,7 +74,6 @@ __all__ = [
     "ErcSet",
     "ForecastResult",
     "Grouping",
-    "Interval",
     "IntervalSeries",
     "InvalidValueError",
     "IvssaError",
@@ -103,14 +98,11 @@ __all__ = [
     "default_window",
     "eigen_sym",
     "forecast_recurrent",
-    "hausdorff",
     "hausdorff_residual_mean",
-    "interval_residuals",
     "json_dumps",
     "ks_critical_value",
     "pair_cross_covariance",
     "periodogram",
-    "phi",
     "phi_arrays",
     "read_csv",
     "reconstruct_ercs",

@@ -25,11 +25,7 @@ from .core import (
     VerticalityError,
     phi_arrays,
 )
-from .decomposition import (
-    DEFAULT_RANK_EPS,
-    decompose,
-    decompose_stacked,
-)
+from .decomposition import DEFAULT_RANK_EPS, decompose_stacked
 from .embedding import StackingMode, default_window
 from .forecasting import (
     forecast_recurrent,
@@ -172,23 +168,34 @@ def _input_doc(path: str, series) -> dict:
     }
 
 
-def cmd_decompose(args) -> None:
-    series = _load_input(args.input)
-    n = len(series[0])
-    mode = _stack_mode(args, len(series))
+def _fit(args, series, oos: bool = False):
+    """The one decomposition of a command: parse --window, and with ``oos``
+    let the out-of-sample search (at --window when one is given) pick the
+    window first.  Returns the decomposition and the search result or None."""
     window = _parse_window(args.window)
-    kind, fixed_m = _parse_grouping(args.grouping)
-    oos_doc = None
-    if kind == "oos":
+    search = None
+    if oos:
         if len(series) > 1:
             raise ParameterError(
                 "out-of-sample grouping needs a univariate input"
             )
-        l_grid = (window,) if window is not None else None
-        oos = select_params_oos(series[0], l_grid=l_grid, p=args.horizon)
-        window = oos.window
-        oos_doc = _oos_doc(oos)
+        search = select_params_oos(
+            series[0],
+            l_grid=(window,) if window is not None else None,
+            p=args.horizon,
+            rank_eps=args.rank_eps,
+        )
+        window = search.window
+    mode = _stack_mode(args, len(series))
     dec = decompose_stacked(series, window, mode=mode, rank_eps=args.rank_eps)
+    return dec, search
+
+
+def cmd_decompose(args) -> None:
+    series = _load_input(args.input)
+    n = len(series[0])
+    kind, fixed_m = _parse_grouping(args.grouping)
+    dec, oos = _fit(args, series, kind == "oos")
     per_series = []
     for idx, raw in enumerate(series, start=1):
         sel_doc = None
@@ -236,7 +243,7 @@ def cmd_decompose(args) -> None:
         },
         "d": dec.d,
         "eigenvalues": dec.eig.values,
-        "oos": oos_doc,
+        "oos": None if oos is None else _oos_doc(oos),
         "series": per_series,
     }
     tables = []
@@ -266,9 +273,7 @@ def cmd_decompose(args) -> None:
 
 def cmd_select(args) -> None:
     series = _load_input(args.input)
-    mode = _stack_mode(args, len(series))
-    window = _parse_window(args.window)
-    dec = decompose_stacked(series, window, mode=mode, rank_eps=args.rank_eps)
+    dec, _ = _fit(args, series)
     per_series = []
     rows = []
     for idx, raw in enumerate(series, start=1):
@@ -310,23 +315,17 @@ def cmd_forecast(args) -> None:
         raise ParameterError("forecast needs a univariate input")
     y = series[0]
     n = len(y)
-    window = _parse_window(args.window)
     kind, fixed_m = _parse_grouping(args.grouping)
+    dec, oos = _fit(args, series, kind == "oos")
     sel_doc = None
-    oos_doc = None
-    if kind == "oos":
-        l_grid = (window,) if window is not None else None
-        oos = select_params_oos(y, l_grid=l_grid, p=args.horizon)
-        window = oos.window
-        m = oos.m
-        oos_doc = _oos_doc(oos)
-    dec = decompose(y, window, rank_eps=args.rank_eps)
     if kind == "periodogram":
         sel = select_from_decomposition(dec, y, alpha=args.alpha, max_m=args.max_m)
         m = sel.m
         sel_doc = _selection_doc(sel)
     elif kind == "fixed":
         m = fixed_m
+    else:
+        m = oos.m
     grouping = Grouping.leading(m)
     grouping.validate(dec.d)
     coef = recurrence_coefficients(dec.eig, grouping)
@@ -345,7 +344,7 @@ def cmd_forecast(args) -> None:
             "rank_eps": args.rank_eps,
         },
         "selection": sel_doc,
-        "oos": oos_doc,
+        "oos": None if oos is None else _oos_doc(oos),
         "coefficients": coef.alpha,
         "verticality": coef.verticality,
         "trendline": {"lo": trend.lo, "hi": trend.hi},

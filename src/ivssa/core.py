@@ -1,15 +1,14 @@
-"""Intervals, interval series, the trajectory pair matrix, and library errors.
+"""Interval series, the trajectory pair matrix, and library errors.
 
 Intermediate arrays in the pipeline hold endpoint *pairs* (a, b) with no
 ordering constraint; only at emission are pairs mapped back to valid
-intervals through ``phi``.  The mid and radius channels of those pairs
+intervals through ``phi_arrays``.  The mid and radius channels of those pairs
 (``symbolic_channels``) carry all the covariance arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,43 +54,8 @@ def _as_float_grid(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lo, hi]; construction enforces lo <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise InvalidValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
-        if lo > hi:
-            raise InvalidValueError(f"interval endpoints out of order: lo={lo} > hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-
-def phi(x: float, y: float) -> Interval:
-    """Map a pair onto the interval [min(x, y), max(x, y)]."""
-    x = float(x)
-    y = float(y)
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise InvalidValueError(f"phi requires finite inputs, got ({x}, {y})")
-    return Interval(min(x, y), max(x, y)) if x > y else Interval(x, y)
-
-
 def phi_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``phi``: elementwise (min, max) of two equal-shape arrays."""
+    """Map pairs onto intervals: elementwise (min, max) of two equal-shape arrays."""
     return np.minimum(x, y), np.maximum(x, y)
 
 
@@ -137,19 +101,12 @@ class PairMatrix:
         return self.a.shape[1]
 
 
-def hausdorff(x: Interval, y: Interval) -> float:
-    """Hausdorff distance between two intervals: max endpoint deviation."""
-    return max(abs(x.lo - y.lo), abs(x.hi - y.hi))
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalSeries:
     """Time-indexed sequence of intervals, backed by lo/hi arrays.
 
     ``labels`` are opaque time labels; when present they match the series
-    length.  Supports integer indexing (returns ``Interval``) and slicing
-    (returns ``IntervalSeries``).  ``==`` compares the endpoints; a series
-    is not hashable.
+    length.  ``==`` compares the endpoints; a series is not hashable.
     """
 
     lo: np.ndarray
@@ -181,35 +138,8 @@ class IntervalSeries:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def from_intervals(
-        cls, values: Iterable[Interval], labels: Sequence[str] | None = None
-    ) -> "IntervalSeries":
-        vals = list(values)
-        return cls(
-            np.array([v.lo for v in vals], dtype=float),
-            np.array([v.hi for v in vals], dtype=float),
-            None if labels is None else tuple(labels),
-        )
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[float, float]], labels: Sequence[str] | None = None
-    ) -> "IntervalSeries":
-        return cls.from_intervals((Interval(p[0], p[1]) for p in pairs), labels)
-
     def __len__(self) -> int:
         return int(self.lo.size)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            labels = None if self.labels is None else self.labels[item]
-            return IntervalSeries(self.lo[item], self.hi[item], labels)
-        return Interval(float(self.lo[item]), float(self.hi[item]))
-
-    def __iter__(self):
-        for lo, hi in zip(self.lo, self.hi):
-            yield Interval(float(lo), float(hi))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSeries):
@@ -219,15 +149,3 @@ class IntervalSeries:
             and bool(np.array_equal(self.lo, other.lo))
             and bool(np.array_equal(self.hi, other.hi))
         )
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    @property
-    def mids(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def is_degenerate(self, tol: float = 0.0) -> bool:
-        """True when every value collapses to a point (lo == hi within tol)."""
-        return bool(np.all(self.hi - self.lo <= tol))

@@ -92,10 +92,6 @@ class EigenPairs:
     vectors: np.ndarray
     d: int
 
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
 
 def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     """Eigendecompose a symmetric, finite matrix; deterministic for fixed input bytes.
@@ -175,7 +171,8 @@ class Decomposition:
     def component_channels(
         self, indices: Sequence[int], series_index: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal-averaged endpoint channels (before phi) of single components.
+        """Diagonal-averaged endpoint channels of single components, before
+        ``phi_arrays``.
 
         Row r of each (len(indices), n) array belongs to the 1-based component
         i = indices[r]: the antidiagonal means of u_i w_i' over the series'

@@ -3,7 +3,7 @@
 Every component is diagonal-averaged at the pair level, where antidiagonal
 means are the C-norm-closest Hankel projection, by
 ``Decomposition.component_channels``; pairs are mapped to intervals through
-``phi`` only when a series is emitted.
+``phi_arrays`` only when a series is emitted.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class Grouping:
             raise ParameterError(f"leading grouping needs m >= 1, got {m}")
         return cls(tuple(range(1, m + 1)))
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     def validate(self, d: int) -> None:
         if max(self.indices) > d:
             raise ParameterError(
@@ -76,25 +73,13 @@ class ErcSet:
     """Elementary reconstructed components.
 
     ``components[i][s]`` is the interval series of component i+1 for series
-    s+1; ``pairs[i][s]`` keeps the pre-phi endpoint channels (a, b), whose
-    componentwise sums are exactly additive.
+    s+1; ``pairs[i][s]`` keeps the endpoint channels (a, b) before
+    ``phi_arrays``, whose componentwise sums are exactly additive.
     """
 
     components: tuple[tuple[IntervalSeries, ...], ...]
     pairs: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
     source: Decomposition
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-    def series(self, series_index: int = 1) -> tuple[IntervalSeries, ...]:
-        """All ERCs of one 1-based series, in component order."""
-        if not 1 <= series_index <= self.source.n_series:
-            raise ParameterError(
-                f"series index must lie in [1, {self.source.n_series}], got {series_index}"
-            )
-        return tuple(c[series_index - 1] for c in self.components)
 
 
 def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:

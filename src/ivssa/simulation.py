@@ -24,7 +24,7 @@ from .core import (
 from .decomposition import Decomposition, decompose, decompose_stacked
 from .embedding import StackingMode
 from .parallel import run_tasks
-from .spectral import select_from_decomposition
+from .spectral import ks_critical_value, select_from_decomposition
 
 #: Method labels: separate univariate fits, vertical stack, horizontal stack.
 METHODS = ("ivssa", "v-mivssa", "h-mivssa")
@@ -221,9 +221,18 @@ def _mc_replication(args) -> tuple[list[McRow], list[McSelectionRow]]:
     return rows, selections
 
 
-def _quantiles(values: np.ndarray) -> dict[str, float]:
+def _hr_stats(values: np.ndarray) -> dict[str, float | None]:
+    """Mean, sd and quartiles of one cell's HRs; all None when it has none."""
+    if not values.size:
+        return dict.fromkeys(("mean", "sd", "q25", "q50", "q75"))
     qs = np.quantile(values, [0.25, 0.5, 0.75])
-    return {"q25": float(qs[0]), "q50": float(qs[1]), "q75": float(qs[2])}
+    return {
+        "mean": float(values.mean()),
+        "sd": float(values.std(ddof=1)) if values.size > 1 else 0.0,
+        "q25": float(qs[0]),
+        "q50": float(qs[1]),
+        "q75": float(qs[2]),
+    }
 
 
 @dataclass(frozen=True)
@@ -300,7 +309,9 @@ class McReport:
         return min(hist, key=lambda m: (-hist[m], m))
 
     def hr_summary(self) -> list[dict]:
-        """One summary record per (scenario, n, method, m) cell."""
+        """One summary record per (scenario, n, method, m) cell.  Every
+        record has the same keys; the statistics of a cell with no HR are
+        None."""
         out = []
         for scenario in self.scenarios:
             for n in self.n_list:
@@ -315,15 +326,8 @@ class McReport:
                         for series in ("x", "y"):
                             vals = self.hr_values(scenario, n, method, m, series)
                             key = f"hr_{series}"
-                            if vals.size:
-                                rec[f"{key}_mean"] = float(vals.mean())
-                                rec[f"{key}_sd"] = (
-                                    float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-                                )
-                                for q, v in _quantiles(vals).items():
-                                    rec[f"{key}_{q}"] = v
-                            else:
-                                rec[f"{key}_mean"] = None
+                            for stat, v in _hr_stats(vals).items():
+                                rec[f"{key}_{stat}"] = v
                             rec[f"{key}_failed"] = self.reps - int(vals.size)
                         out.append(rec)
         return out
@@ -394,7 +398,10 @@ def run_monte_carlo(
         raise ParameterError(f"reps must be >= 1, got {reps}")
     if max_m is not None and max_m < 1:
         raise ParameterError(f"max_m must be >= 1, got {max_m}")
+    ks_critical_value(alpha)  # raises for alpha outside (0, 1), nan included
     methods = tuple(methods)
+    if len(set(methods)) != len(methods):
+        raise ParameterError(f"methods must not repeat, got {methods}")
     for method in methods:
         if method not in METHODS:
             raise ParameterError(

@@ -33,16 +33,6 @@ PERFECT_FIT_RTOL = 1e-10
 DEFAULT_MAX_M = 40
 
 
-def interval_residuals(y: IntervalSeries, ytilde: IntervalSeries) -> IntervalSeries:
-    """Interval residuals e_t = phi(lo_t - lo~_t, hi_t - hi~_t)."""
-    if len(y) != len(ytilde):
-        raise ShapeError(
-            f"series lengths differ: {len(y)} vs {len(ytilde)}"
-        )
-    lo, hi = phi_arrays(y.lo - ytilde.lo, y.hi - ytilde.hi)
-    return IntervalSeries(lo, hi)
-
-
 def ks_critical_value(alpha: float) -> float:
     """Asymptotic Kolmogorov-Smirnov critical value; 1.358 at alpha = 0.05."""
     if not 0.0 < alpha < 1.0:

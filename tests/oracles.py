@@ -91,6 +91,11 @@ def ssa_forecast(history: np.ndarray, alpha: np.ndarray, horizon: int) -> np.nda
 # interval-side brute-force references
 
 
+def phi_scalar(x: float, y: float) -> tuple[float, float]:
+    """The map phi on one pair: the interval [min(x, y), max(x, y)]."""
+    return (min(x, y), max(x, y))
+
+
 def symbolic_cross_cov_loop(
     xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray
 ) -> np.ndarray:
@@ -205,7 +210,7 @@ def oos_objective_loop(y, l_grid, m_grid, w0, p, stride):
             total = 0.0
             ok = True
             for w in range(w0, n - p + 1, stride):
-                sub = y[:w]
+                sub = ivssa.IntervalSeries(y.lo[:w], y.hi[:w])
                 dec = ivssa.decompose(sub, window)
                 if m > dec.d:
                     ok = False

@@ -6,64 +6,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ivssa import (
-    Interval,
     IntervalSeries,
     InvalidValueError,
     PairMatrix,
     ShapeError,
-    hausdorff,
-    phi,
     phi_arrays,
 )
 from helpers import make_rng, random_pair_matrix
-from oracles import c_norm
+from oracles import c_norm, phi_scalar
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
-class TestInterval:
-    def test_ordering_enforced(self):
-        with pytest.raises(InvalidValueError):
-            Interval(2.0, 1.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidValueError):
-            Interval(float("nan"), 1.0)
-        with pytest.raises(InvalidValueError):
-            Interval(0.0, float("inf"))
-
-    def test_width_mid(self):
-        iv = Interval(1.0, 4.0)
-        assert iv.width == 3.0
-        assert iv.mid == 2.5
-
-    def test_degenerate_allowed(self):
-        assert Interval(1.5, 1.5).width == 0.0
-
-
 class TestPhi:
-    def test_reorders(self):
-        assert phi(2.0, -1.0) == Interval(-1.0, 2.0)
-        assert phi(-1.0, 2.0) == Interval(-1.0, 2.0)
-
-    def test_nonfinite(self):
-        with pytest.raises(InvalidValueError):
-            phi(float("nan"), 0.0)
-
-    @given(finite, finite)
-    def test_bounds(self, x, y):
-        iv = phi(x, y)
-        assert iv.lo == min(x, y)
-        assert iv.hi == max(x, y)
-
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=30))
     def test_phi_arrays_matches_scalar(self, pairs):
         x = np.array([p[0] for p in pairs])
         y = np.array([p[1] for p in pairs])
         lo, hi = phi_arrays(x, y)
         for t, (a, b) in enumerate(pairs):
-            iv = phi(a, b)
-            assert lo[t] == iv.lo and hi[t] == iv.hi
+            assert (lo[t], hi[t]) == phi_scalar(a, b)
 
 
 class TestPairMatrix:
@@ -109,47 +71,17 @@ class TestCNorm:
         assert total <= c_norm(x.a, x.b) + c_norm(y.a, y.b) + 1e-12
 
 
-class TestHausdorff:
-    def test_known_value(self):
-        assert hausdorff(Interval(1, 3), Interval(2, 7)) == 4.0
-
-    @given(finite, finite, finite, finite)
-    def test_metric_axioms(self, a, b, c, d):
-        x = phi(a, b)
-        y = phi(c, d)
-        assert hausdorff(x, y) >= 0.0
-        assert hausdorff(x, y) == hausdorff(y, x)
-        assert hausdorff(x, x) == 0.0
-
-
 class TestIntervalSeries:
     def test_ordering_enforced(self):
         with pytest.raises(InvalidValueError):
             IntervalSeries([0.0, 2.0], [1.0, 1.0])
 
-    def test_indexing(self):
-        y = IntervalSeries.from_pairs([(0, 1), (1, 3), (2, 2)], labels=["a", "b", "c"])
-        assert len(y) == 3
-        assert y[1] == Interval(1, 3)
-        assert y[-1] == Interval(2, 2)
-        part = y[1:]
-        assert isinstance(part, IntervalSeries)
-        assert len(part) == 2 and part.labels == ("b", "c")
-
-    def test_iter_and_eq(self):
-        y = IntervalSeries.from_pairs([(0, 1), (1, 3)])
-        assert list(y) == [Interval(0, 1), Interval(1, 3)]
-        assert y == IntervalSeries([0.0, 1.0], [1.0, 3.0])
-
-    def test_widths_mids(self):
-        y = IntervalSeries([0.0, 1.0], [2.0, 5.0])
-        assert np.array_equal(y.widths, [2.0, 4.0])
-        assert np.array_equal(y.mids, [1.0, 3.0])
-
-    def test_is_degenerate(self):
-        assert IntervalSeries([1.0, 2.0], [1.0, 2.0]).is_degenerate()
-        assert not IntervalSeries([1.0], [1.5]).is_degenerate()
-        assert IntervalSeries([1.0], [1.0 + 1e-12]).is_degenerate(tol=1e-10)
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidValueError, match="series lo"):
+                IntervalSeries([bad, 0.0], [1.0, 1.0])
+            with pytest.raises(InvalidValueError, match="series hi"):
+                IntervalSeries([0.0, 0.0], [1.0, bad])
 
     def test_label_length_check(self):
         with pytest.raises(ShapeError):

@@ -192,7 +192,7 @@ class TestDecompose:
         dec = decompose(y)
         assert dec.window == 21
         assert dec.k == 20
-        assert dec.eig.size == 21
+        assert dec.eig.values.size == 21
         assert dec.mode is StackingMode.UNIVARIATE
 
     def test_stacked_modes(self):
@@ -201,8 +201,8 @@ class TestDecompose:
         dv = decompose_stacked(xs, mode=StackingMode.VERTICAL)
         dh = decompose_stacked(xs, mode=StackingMode.HORIZONTAL)
         # trajectory shapes: vertical (2*11) x 20, horizontal 21 x (2*10)
-        assert dv.window == 11 and dv.eig.size == 22 and dv.k == 20
-        assert dh.window == 21 and dh.eig.size == 21 and dh.k == 10
+        assert dv.window == 11 and dv.eig.values.size == 22 and dv.k == 20
+        assert dh.window == 21 and dh.eig.values.size == 21 and dh.k == 10
         assert dv.n_series == dh.n_series == 2
 
     def test_stacked_univariate_mode_rejected(self):

@@ -17,7 +17,7 @@ from helpers import make_rng, random_series
 
 class TestTrajectory:
     def test_values(self):
-        y = IntervalSeries.from_pairs([(1, 2), (3, 4), (5, 6), (7, 8)])
+        y = IntervalSeries([1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0])
         traj = trajectory(y, 2)
         assert traj.a.shape == traj.b.shape == (2, 3)
         # column j is the window starting at position j

@@ -26,6 +26,11 @@ from ivssa.io import atomic_write_text
 from helpers import child_env, structured_series
 
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+WEEKLY = os.path.join(HERE, "fixtures", "sample_weekly.csv")
+ONE_SHOT = os.path.join(HERE, os.pardir, "scripts", "one_shot.py")
+
+
 def write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -433,6 +438,25 @@ class TestCliForecast:
         assert res.returncode == 5
 
 
+class TestCliOosGrouping:
+    @pytest.fixture(scope="class")
+    def weekly_pick(self):
+        oos = select_params_oos(read_csv(WEEKLY)[0], rank_eps=0.05)
+        return oos.window, oos.m
+
+    @pytest.mark.parametrize("cmd", ["decompose", "forecast"])
+    def test_search_uses_rank_eps(self, cmd, weekly_pick):
+        # a coarse rank cutoff leaves d = 1: a search run at the default
+        # cutoff would pick an m the fit at 0.05 does not have
+        res = run_cli(
+            cmd, "--input", WEEKLY, "--grouping", "oos", "--rank-eps", "0.05"
+        )
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert (doc["oos"]["window"], doc["oos"]["m"]) == weekly_pick == (125, 1)
+        assert doc["params"]["window"] == 125
+
+
 class TestCliSelectParams:
     def test_matches_library(self, sample_csv, tmp_path):
         out = str(tmp_path / "sp.json")
@@ -498,3 +522,53 @@ class TestCliMc:
         assert len(doc["hr_rows"]) == 4
         for suffix in ("hr_rows", "selection_rows", "hr_summary", "selection_summary"):
             assert os.path.exists(str(tmp_path / f"mc.{suffix}.csv"))
+
+    def test_cells_without_hr_written(self, tmp_path):
+        # at n = 10 the univariate fit has rank 6, so its m = 7 and 8 cells
+        # hold no HR at all
+        out = str(tmp_path / "mc.json")
+        res = run_cli(
+            "mc", "--scenario", "A", "--n-list", "10", "--reps", "1", "--out", out
+        )
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(open(out).read())
+        keys = [list(rec) for rec in doc["hr_summary"]]
+        assert all(k == keys[0] for k in keys)
+        empty = [r for r in doc["hr_summary"] if r["hr_x_failed"] == 1]
+        assert empty and all(
+            r[f"hr_x_{stat}"] is None for r in empty for stat in ("mean", "sd", "q50")
+        )
+        lines = (tmp_path / "mc.hr_summary.csv").read_text().splitlines()
+        assert lines[0] == ",".join(keys[0])
+        assert len(lines) == 1 + len(keys)
+
+    @pytest.mark.parametrize(
+        "flags", [["--alpha", "2"], ["--alpha", "nan"], ["--methods", "ivssa,ivssa"]]
+    )
+    def test_bad_study_config(self, tmp_path, flags):
+        out = str(tmp_path / "mc.json")
+        res = run_cli("mc", "--reps", "1", "--n-list", "20", *flags, "--out", out)
+        assert res.returncode == 5
+        assert "configuration error" in res.stderr
+        assert not os.path.exists(out)
+
+
+class TestOneShotScript:
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["--n", "60"], "HR against the true mean curve"),
+            (["--input", WEEKLY], "whiteness selection: m ="),
+        ],
+        ids=["simulated", "weekly"],
+    )
+    def test_runs(self, args, expected):
+        res = subprocess.run(
+            [sys.executable, ONE_SHOT, *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        assert expected in res.stdout
+        assert "-step forecast:" in res.stdout

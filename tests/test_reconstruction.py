@@ -49,9 +49,6 @@ class TestGrouping:
             Grouping((1, 5)).validate(4)
         Grouping((1, 5)).validate(5)
 
-    def test_len(self):
-        assert len(Grouping((2, 4, 6))) == 3
-
 
 class TestDiagonalAveraging:
     """The loop reference that ``component_channels`` is checked against."""
@@ -165,11 +162,12 @@ class TestErcs:
         xs = [random_series(rng, 22) for _ in range(2)]
         dec = decompose_stacked(xs, mode=StackingMode.HORIZONTAL)
         ercs = reconstruct_ercs(dec, 2)
-        assert ercs.count == 2
-        assert len(ercs.series(2)) == 2
-        assert all(len(s) == 22 for s in ercs.series(1))
-        with pytest.raises(ParameterError):
-            ercs.series(3)
+        assert len(ercs.components) == len(ercs.pairs) == 2
+        for comp, pair in zip(ercs.components, ercs.pairs):
+            assert len(comp) == len(pair) == 2
+            for s in range(2):
+                assert len(comp[s]) == 22
+                assert pair[s][0].shape == pair[s][1].shape == (22,)
 
     def test_count_bounds(self):
         y = random_series(make_rng(17), 15)

@@ -73,11 +73,13 @@ class TestSimulateScenario:
 
     def test_widths_unaffected_by_noise(self):
         data = simulate_scenario(ScenarioConfig.scenario_b(60, seed=11))
-        assert np.allclose(data.x.widths, 2.0)
-        assert np.allclose(data.x.widths, data.x_mean.widths)
-        assert np.allclose(data.y.widths, data.y_mean.widths)
+        x_widths = data.x.hi - data.x.lo
+        y_widths = data.y.hi - data.y.lo
+        assert np.allclose(x_widths, 2.0)
+        assert np.allclose(x_widths, data.x_mean.hi - data.x_mean.lo)
+        assert np.allclose(y_widths, data.y_mean.hi - data.y_mean.lo)
         # y widths inherit the mean level, so they vary over time
-        assert data.y.widths.std() > 0.1
+        assert y_widths.std() > 0.1
 
     def test_seed_determinism(self):
         cfg = ScenarioConfig.scenario_a(50, seed=99)
@@ -212,6 +214,13 @@ class TestRunMonteCarlo:
             run_monte_carlo(methods=("ivssa", "other"), reps=1)
         with pytest.raises(ParameterError):
             run_monte_carlo(m_list=(0, 1), reps=1)
+        # checked up front: a bad alpha is a configuration error, not a
+        # failed selection in every replication
+        for alpha in (0.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ParameterError, match="alpha"):
+                run_monte_carlo(reps=1, alpha=alpha)
+        with pytest.raises(ParameterError, match="repeat"):
+            run_monte_carlo(methods=("ivssa", "ivssa"), reps=1)
 
     def test_failed_fit_keeps_selection_rows(self, monkeypatch):
         def failing(series, mode):
@@ -256,18 +265,22 @@ def run_mc_script(*args: str, cwd: str) -> subprocess.CompletedProcess:
 
 class TestRunMcStudyScript:
     def test_small_study_writes_outputs(self, tmp_path):
-        proc = run_mc_script(
-            "--reps", "2", "--n-list", "40", "--scenario", "A", "--out", "mc", cwd=tmp_path
-        )
-        assert proc.returncode == 0, proc.stderr
-        with open(tmp_path / "mc.json") as fh:
-            doc = json.load(fh)
-        assert doc["command"] == "mc"
-        assert len(doc["hr_rows"]) == 2 * 3 * 8  # reps x methods x m values
-        assert len(doc["selection_rows"]) == 2 * 3 * 2  # reps x methods x series
-        header = (tmp_path / "mc.hr_summary.csv").read_text().splitlines()[0]
-        assert header.startswith("scenario,n,method,m,hr_x_mean")
-        assert "scenario A, n = 40" in proc.stdout
+        # at n = 10 the univariate fit has no HR for m = 7 and 8
+        for n in (40, 10):
+            proc = run_mc_script(
+                "--reps", "2", "--n-list", str(n), "--scenario", "A", "--out", f"mc{n}",
+                cwd=tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+            with open(tmp_path / f"mc{n}.json") as fh:
+                doc = json.load(fh)
+            assert doc["command"] == "mc"
+            assert len(doc["hr_rows"]) == 2 * 3 * 8  # reps x methods x m values
+            assert len(doc["selection_rows"]) == 2 * 3 * 2  # reps x methods x series
+            lines = (tmp_path / f"mc{n}.hr_summary.csv").read_text().splitlines()
+            assert lines[0].startswith("scenario,n,method,m,hr_x_mean")
+            assert len(lines) == 1 + 3 * 8  # header + methods x m values
+            assert f"scenario A, n = {n}" in proc.stdout
 
     def test_threads_flag_rejected(self, tmp_path):
         proc = run_mc_script("--reps", "1", "--threads", "2", cwd=tmp_path)

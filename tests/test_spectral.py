@@ -10,7 +10,6 @@ from ivssa import (
     ShapeError,
     decompose,
     decompose_stacked,
-    interval_residuals,
     ks_critical_value,
     periodogram,
     select_components,
@@ -25,22 +24,6 @@ def white_noise_series(seed: int, n: int) -> IntervalSeries:
     lo = rng.standard_normal(n)
     hi = lo + rng.uniform(0.1, 1.0, size=n)
     return IntervalSeries(lo, hi)
-
-
-class TestIntervalResiduals:
-    def test_phi_of_endpoint_differences(self):
-        y = IntervalSeries([0.0, 1.0], [2.0, 3.0])
-        yt = IntervalSeries([1.0, 0.5], [1.5, 3.5])
-        e = interval_residuals(y, yt)
-        # first: (0-1, 2-1.5) = (-1, 0.5); second: (0.5, -0.5) reordered
-        assert (e[0].lo, e[0].hi) == (-1.0, 0.5)
-        assert (e[1].lo, e[1].hi) == (-0.5, 0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            interval_residuals(
-                IntervalSeries([0.0], [1.0]), IntervalSeries([0.0, 1.0], [1.0, 2.0])
-            )
 
 
 class TestKsCriticalValue:
@@ -192,4 +175,4 @@ class TestSelection:
         y = structured_series(50, seed=11)
         dec = decompose(y)
         with pytest.raises(ShapeError):
-            select_from_decomposition(dec, y[:40])
+            select_from_decomposition(dec, IntervalSeries(y.lo[:40], y.hi[:40]))
