@@ -13,6 +13,7 @@ from .core import (
     IntervalSeries,
     InvalidValueError,
     IvssaError,
+    OutputError,
     PairMatrix,
     ParameterError,
     ShapeError,
@@ -82,6 +83,7 @@ __all__ = [
     "McRow",
     "McSelectionRow",
     "OosResult",
+    "OutputError",
     "PairMatrix",
     "ParameterError",
     "PeriodogramResult",

@@ -3,7 +3,7 @@
 Subcommands: decompose, select, forecast, select-params, simulate, mc.
 JSON goes to --out (or stdout); --format csv adds CSV tables next to it.
 Exit codes: 0 ok, 2 input parse, 3 input validation, 4 numerical failure,
-5 configuration, 1 unexpected.
+5 configuration, 6 output not writable, 1 unexpected.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import (
     DegenerateSpectrumError,
     IntervalSeries,
     InvalidValueError,
+    OutputError,
     ParameterError,
     ShapeError,
     VerticalityError,
@@ -482,7 +483,7 @@ def cmd_mc(args) -> None:
     ]
     summary_rows = []
     summary_header = None
-    for rec in report.hr_summary():
+    for rec in doc["hr_summary"]:
         if summary_header is None:
             summary_header = list(rec.keys())
         summary_rows.append([rec[k] for k in summary_header])
@@ -618,6 +619,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        out_dir = os.path.dirname(os.path.abspath(args.out or "."))
+        if args.out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            raise OutputError(f"cannot write {args.out}: no writable directory {out_dir}")
         args.func(args)
         return 0
     except CsvError as exc:
@@ -632,6 +636,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"ivssa: configuration error: {exc}", file=sys.stderr)
         return 5
+    except OutputError as exc:
+        print(f"ivssa: output error: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -37,6 +37,10 @@ class DegenerateSpectrumError(IvssaError):
     """Residual series carries zero spectral power (perfect fit)."""
 
 
+class OutputError(IvssaError):
+    """An output file cannot be written; names the path and the cause."""
+
+
 class CsvError(IvssaError):
     """Malformed dataset file; carries the offending 1-based line number."""
 

@@ -9,6 +9,7 @@ runs produce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -23,6 +24,7 @@ from .core import (
     CsvError,
     IntervalSeries,
     InvalidValueError,
+    OutputError,
     ParameterError,
     ShapeError,
 )
@@ -137,23 +139,24 @@ def _format_cell(value) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a sibling temp file and os.replace."""
+    """Write text via a sibling temp file and os.replace; OSError -> OutputError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ivssa-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        # mkstemp creates 0600 files; restore the umask-governed default
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ivssa-", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            # mkstemp creates 0600 files; restore the umask-governed default
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_table_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -205,9 +208,23 @@ def write_series_csv(
     write_table_csv(path, header, rows)
 
 
-def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
+def _emit_run(values, out: list[str], indent: int, level: int) -> None:
+    """A non-empty run of floats: one %-template, a vectorised patch, one join."""
     pad_in = " " * (indent * (level + 1))
+    texts = ("\0".join((f"%.{JSON_DIGITS}g",) * len(values)) % tuple(values)).split("\0")
+    a = np.asarray(values, dtype=float)
+    finite = np.isfinite(a)
+    for i in np.flatnonzero(~finite):
+        texts[i] = "null"
+    # integral values below 1e17 print bare (0.0, -0.0, 3.0): keep them floats
+    a = np.where(finite, a, 0.5)  # keeps nan out of the comparisons below
+    for i in np.flatnonzero((a == np.trunc(a)) & (np.abs(a) < 10.0**JSON_DIGITS)):
+        texts[i] += ".0"
+    out.append("[\n" + pad_in + (",\n" + pad_in).join(texts))
+    out.append("\n" + " " * (indent * level) + "]")
+
+
+def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -225,11 +242,16 @@ def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _emit_json(obj.tolist(), out, indent, level)
+        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
+            _emit_run(obj.tolist(), out, indent, level)
+        else:
+            # rows of a 2-D array are runs of their own
+            _emit_json(list(obj) if obj.ndim > 1 else obj.tolist(), out, indent, level)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        pad_in = " " * (indent * (level + 1))
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -237,17 +259,20 @@ def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
             out.append(pad_in + json.dumps(key) + ": ")
             _emit_json(value, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
+        out.append(" " * (indent * level) + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad_in)
-            _emit_json(value, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+        elif all(isinstance(v, float) for v in obj):
+            _emit_run(obj, out, indent, level)
+        else:
+            pad_in = " " * (indent * (level + 1))
+            out.append("[\n")
+            for i, value in enumerate(obj):
+                out.append(pad_in)
+                _emit_json(value, out, indent, level + 1)
+                out.append(",\n" if i + 1 < len(obj) else "\n")
+            out.append(" " * (indent * level) + "]")
     else:
         raise ParameterError(f"cannot serialize {type(obj).__name__} to JSON")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -254,17 +255,18 @@ class McReport:
         self, scenario: str, n: int, method: str, m: int, series: str = "x"
     ) -> np.ndarray:
         """Successful per-replication HR values for one cell."""
-        attr = "hr_x" if series == "x" else "hr_y"
-        vals = [
-            getattr(r, attr)
-            for r in self.hr_rows
-            if r.scenario == scenario
-            and r.n == n
-            and r.method == method
-            and r.m == m
-            and getattr(r, attr) is not None
-        ]
-        return np.asarray(vals, dtype=float)
+        key = (scenario, n, method, m, "x" if series == "x" else "y")
+        return np.asarray(self._hr_cells.get(key, []), dtype=float)
+
+    @cached_property
+    def _hr_cells(self) -> dict[tuple, list[float]]:
+        """Successful HR values by (scenario, n, method, m, series), in row order."""
+        cells: dict[tuple, list[float]] = {}
+        for r in self.hr_rows:
+            for series, v in (("x", r.hr_x), ("y", r.hr_y)):
+                if v is not None:
+                    cells.setdefault((r.scenario, r.n, r.method, r.m, series), []).append(v)
+        return cells
 
     def mean_hr(
         self, scenario: str, n: int, method: str, m: int, series: str = "x"

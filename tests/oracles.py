@@ -7,6 +7,7 @@ that agreement with the library is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -231,3 +232,100 @@ def oos_objective_loop(y, l_grid, m_grid, w0, p, stride):
                     )
             table[(window, m)] = total if ok else math.inf
     return table
+
+
+# the per-value JSON emitter, one recursive call and one format per float
+
+
+def _emit_json_loop(obj, out: list[str], indent: int, level: int) -> None:
+    from ivssa.core import ParameterError
+    from ivssa.io import JSON_DIGITS
+
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not math.isfinite(v):
+            out.append("null")
+            return
+        text = format(v, f".{JSON_DIGITS}g")
+        # keep integral values (0.0, 3.0) typed as floats when read back
+        out.append(text if "." in text or "e" in text else text + ".0")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        _emit_json_loop(obj.tolist(), out, indent, level)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                key = str(key)
+            out.append(pad_in + json.dumps(key) + ": ")
+            _emit_json_loop(value, out, indent, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(pad_in)
+            _emit_json_loop(value, out, indent, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    else:
+        raise ParameterError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def json_dumps_loop(obj, indent: int = 2) -> str:
+    """Deterministic JSON text: .17g floats that always carry a '.' or an
+    exponent, NaN/inf as null, insertion order preserved."""
+    out: list[str] = []
+    _emit_json_loop(obj, out, indent, 0)
+    return "".join(out)
+
+
+# Monte Carlo summary, one scan of every row per cell
+
+
+def hr_values_loop(report, scenario, n, method, m, series) -> np.ndarray:
+    attr = "hr_x" if series == "x" else "hr_y"
+    vals = [
+        getattr(r, attr)
+        for r in report.hr_rows
+        if r.scenario == scenario
+        and r.n == n
+        and r.method == method
+        and r.m == m
+        and getattr(r, attr) is not None
+    ]
+    return np.asarray(vals, dtype=float)
+
+
+def hr_summary_loop(report) -> list[dict]:
+    from ivssa.simulation import _hr_stats
+
+    out = []
+    for scenario in report.scenarios:
+        for n in report.n_list:
+            for method in report.methods:
+                for m in report.m_list:
+                    rec: dict = {"scenario": scenario, "n": n, "method": method, "m": m}
+                    for series in ("x", "y"):
+                        vals = hr_values_loop(report, scenario, n, method, m, series)
+                        key = f"hr_{series}"
+                        for stat, v in _hr_stats(vals).items():
+                            rec[f"{key}_{stat}"] = v
+                        rec[f"{key}_failed"] = report.reps - int(vals.size)
+                    out.append(rec)
+    return out

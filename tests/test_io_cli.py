@@ -6,11 +6,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import ivssa.cli as cli
 from ivssa import (
     CsvError,
     IntervalSeries,
     InvalidValueError,
+    OutputError,
     ParameterError,
     ScenarioConfig,
     ShapeError,
@@ -24,6 +29,7 @@ from ivssa import (
 )
 from ivssa.io import atomic_write_text
 from helpers import child_env, structured_series
+from oracles import json_dumps_loop
 
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -214,6 +220,89 @@ class TestJson:
         atomic_write_text(str(path), "hello")
         assert path.read_text() == "hello"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_atomic_write_error_names_path_and_cause(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OutputError, match="Is a directory") as info:
+            atomic_write_text(str(target), "hello")
+        assert f"cannot write {target}:" in str(info.value)
+        assert os.listdir(tmp_path) == ["taken"]
+
+    def test_float_run_patches(self):
+        run = [0.0, -0.0, 3.0, math.nan, math.inf, -math.inf, 1e16, 1e17, 2.5e-7]
+        want = (
+            "[\n  0.0,\n  -0.0,\n  3.0,\n  null,\n  null,\n  null,\n"
+            "  10000000000000000.0,\n  1e+17,\n  2.4999999999999999e-07\n]"
+        )
+        assert json_dumps(run) == want
+        assert json_dumps(np.array(run)) == want
+        assert json_dumps(tuple(run)) == want
+
+
+# floats whose text the emitter patches or that sit at a formatting edge
+EDGE_FLOATS = [
+    0.0, -0.0, 3.0, -3.0, 5e-324, -5e-324, sys.float_info.max,
+    -sys.float_info.max, math.nan, math.inf, -math.inf, 1e15, 1e16, 1e17,
+    1e17 - 16.0, 2.0**53, 2.0**53 + 2.0, 0.5, 1e-5, 1e-4,
+]
+EDGE_FLOAT32 = [
+    0.0, -0.0, 3.0, math.nan, math.inf, -math.inf,
+    float(np.float32(1e16)), float(np.float32(1e17)),
+    float(np.finfo(np.float32).max), float(np.float32(1e-45)),
+]
+json_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(10**15, 10**17).map(float),
+    st.floats(),
+)
+json_arrays = st.one_of(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=json_floats,
+    ),
+    hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(st.sampled_from(EDGE_FLOAT32), st.floats(width=32)),
+    ),
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    ),
+    hnp.arrays(
+        np.bool_,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    ),
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    json_floats,
+    json_floats.map(np.float64),
+    json_arrays,
+    st.lists(json_floats, max_size=8),
+    st.lists(json_floats.map(np.float64), max_size=8),
+    st.lists(st.one_of(json_floats, st.integers()), max_size=8),
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(json_docs)
+def test_json_bytes_match_per_value_emitter(doc):
+    assert json_dumps(doc) == json_dumps_loop(doc)
 
 
 def run_cli(*args, cwd=None, as_bytes=False):
@@ -507,6 +596,35 @@ class TestCliSimulate:
                       as_bytes=True)
         assert one.returncode == 0
         assert one.stdout == two.stdout
+
+
+class TestCliOutputErrors:
+    def test_missing_out_dir(self, sample_csv, tmp_path):
+        out = tmp_path / "nodir" / "dec.json"
+        res = run_cli("decompose", "--input", sample_csv, "--out", str(out))
+        assert res.returncode == 6
+        assert res.stderr.startswith(f"ivssa: output error: cannot write {out}:")
+        assert "Traceback" not in res.stderr
+
+    def test_missing_out_dir_stops_mc_before_any_replication(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(**kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", fail)
+        out = tmp_path / "nodir" / "mc.json"
+        code = cli.main(["mc", "--reps", "1", "--n-list", "20", "--out", str(out)])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: no writable directory" in err
+
+    def test_write_failure_names_path(self, sample_csv, tmp_path):
+        # the directory exists, so the failure comes from the write itself
+        res = run_cli("select", "--input", sample_csv, "--out", str(tmp_path))
+        assert res.returncode == 6
+        assert f"cannot write {tmp_path}: Is a directory" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestCliMc:

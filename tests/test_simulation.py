@@ -26,7 +26,7 @@ from ivssa import (
     trendline,
 )
 from helpers import child_env, make_rng, random_series
-from oracles import hausdorff_mean_loop
+from oracles import hausdorff_mean_loop, hr_summary_loop, hr_values_loop
 
 
 def noise_free(n: int) -> "ScenarioData":
@@ -192,6 +192,19 @@ class TestRunMonteCarlo:
         assert sum(hist.values()) == 3
         assert len(rep.hr_summary()) == 9
         assert len(rep.selection_summary()) == 6
+
+    def test_summary_matches_cell_by_cell_scan(self):
+        # at n = 10 the univariate fit has rank 6: its m = 7 and 8 cells fail
+        rep = run_monte_carlo(scenarios="A", n_list=(10,), reps=2, base_seed=3)
+        summary = rep.hr_summary()
+        assert summary == hr_summary_loop(rep)
+        assert any(r["hr_x_failed"] == 2 for r in summary)
+        for r in summary:
+            for series in ("x", "y"):
+                cell = (r["scenario"], r["n"], r["method"], r["m"], series)
+                assert np.array_equal(
+                    rep.hr_values(*cell), hr_values_loop(rep, *cell)
+                )
 
     def test_summary_consistent_with_rows(self, small_report):
         recs = [
