@@ -124,8 +124,6 @@ def _emit(args, doc, csv_tables, always_csv: bool = False) -> None:
     <stem>.<suffix>.csv beside the JSON output.
     """
     if args.out is None:
-        if args.format == "csv" and csv_tables:
-            raise ParameterError("--format csv requires --out")
         sys.stdout.write(json_dumps(doc) + "\n")
         return
     write_json(args.out, doc)
@@ -619,6 +617,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.out is None:
+            raise ParameterError("--format csv requires --out")
         out_dir = os.path.dirname(os.path.abspath(args.out or "."))
         if args.out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise OutputError(f"cannot write {args.out}: no writable directory {out_dir}")

@@ -93,6 +93,59 @@ class EigenPairs:
     d: int
 
 
+_UNDERFLOW = (
+    "covariance of a nonzero series is zero; it underflows float64 "
+    "when the series values are too small"
+)
+
+
+def _checked_eigh(
+    s: np.ndarray, rank_eps: float, nonzero: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending eigenvalues, sign-normalised eigenvectors and rank d of
+    each matrix of the stack s (f, l, l), from one ``np.linalg.eigh`` call.
+    The eigenvectors come as a view that reverses ``eigh``'s column order.
+
+    Each matrix must be finite and symmetric within SYMMETRY_RTOL; where
+    ``nonzero[i]`` says matrix i is the covariance of a nonzero series, a
+    rank of zero means it underflowed.  The first failing matrix of the
+    stack raises, as if the matrices were checked one after another.
+    """
+    if not 0.0 <= rank_eps < 1.0:
+        raise ParameterError(f"rank_eps must lie in [0, 1), got {rank_eps}")
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise ShapeError(f"expected a square matrix, got shape {s.shape[1:]}")
+    finite = np.isfinite(s).all(axis=(1, 2))
+    stop = int(np.argmin(finite)) if not finite.all() else len(s)
+    # only a matrix that is not exactly symmetric needs the tolerance test
+    for f in np.flatnonzero((s[:stop] != s[:stop].transpose(0, 2, 1)).any(axis=(1, 2))):
+        if np.max(np.abs(s[f] - s[f].T)) > SYMMETRY_RTOL * np.max(np.abs(s[f])):
+            stop = int(f)
+            break
+    values, vectors = np.linalg.eigh(s[:stop])
+    # Fix signs: largest-magnitude entry of each eigenvector made positive,
+    # one matrix at a time and in place, so no temporary of the stack's size.
+    cols = np.arange(s.shape[2])
+    for v in vectors:
+        signs = np.sign(v[np.argmax(np.abs(v), axis=0), cols])
+        signs[signs == 0] = 1.0
+        v *= signs
+    values = values[:, ::-1].copy()
+    vectors = vectors[:, :, ::-1]
+    lam1 = values[:, :1]
+    d = ((lam1 > 0) & (values > rank_eps * lam1)).sum(axis=1)
+    if nonzero is not None and np.any((d == 0) & nonzero[:stop]):
+        raise InvalidValueError(_UNDERFLOW)
+    if stop < len(s):
+        if not finite[stop]:
+            raise InvalidValueError(
+                f"matrix has {np.sum(~np.isfinite(s[stop]))} non-finite entries; a "
+                "covariance overflows float64 when the series values are too large"
+            )
+        raise InvalidValueError("matrix is not symmetric within tolerance")
+    return values, vectors, d
+
+
 def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     """Eigendecompose a symmetric, finite matrix; deterministic for fixed input bytes.
 
@@ -100,35 +153,11 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     rank_eps * lambda_1, so a negative cutoff keeps round-off eigenvalues
     and one of 1 or more keeps none.
     """
-    if not 0.0 <= rank_eps < 1.0:
-        raise ParameterError(f"rank_eps must lie in [0, 1), got {rank_eps}")
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidValueError(
-            f"matrix has {np.sum(~np.isfinite(s))} non-finite entries; a covariance "
-            "overflows float64 when the series values are too large"
-        )
-    scale = float(np.max(np.abs(s))) if s.size else 0.0
-    if scale > 0 and float(np.max(np.abs(s - s.T))) > SYMMETRY_RTOL * scale:
-        raise InvalidValueError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(s)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    # Fix signs: largest-magnitude entry of each eigenvector made positive.
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs
-    lam1 = float(values[0]) if values.size else 0.0
-    if lam1 <= 0:
-        d = 0
-    else:
-        d = int(np.sum(values > rank_eps * lam1))
+    values, vectors, d = _checked_eigh(np.asarray(s, dtype=float)[None], rank_eps)
+    values, vectors = values[0], vectors[0].copy()
     values.flags.writeable = False
     vectors.flags.writeable = False
-    return EigenPairs(values=values, vectors=vectors, d=d)
+    return EigenPairs(values=values, vectors=vectors, d=int(d[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +237,7 @@ def _build(
     """The one fit: eigenpairs of S = ``_gram(a, b)``, projections of a, b."""
     eig = eigen_sym(s, rank_eps=rank_eps)
     if eig.d == 0 and (a.any() or b.any()):
-        raise InvalidValueError(
-            "covariance of a nonzero series is zero; it underflows float64 "
-            "when the series values are too small"
-        )
+        raise InvalidValueError(_UNDERFLOW)
     u = eig.vectors[:, : eig.d]
     wa = u.T @ a
     wb = u.T @ b

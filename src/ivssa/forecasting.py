@@ -2,9 +2,16 @@
 
 One stepper, ``_run_recurrence``, advances many recurrences at once;
 ``forecast_recurrent`` is its one-row call.  The grid search runs one task
-per window l, in order, in this process: it fits each prefix y[:w] with
-``decompose``'s fit function on the trajectory grids, then forecasts all
-(w, m) rows together.
+per window l, in order, in this process, and fits the window's prefixes
+y[:w] as one batch: S = ``_gram`` of each prefix's trajectory grids, then
+one checked ``eigh`` of the stacked S.  The recurrence weights of every m
+are prefix sums over the eigenvector columns, taken for all fits at once,
+and so are the failure reasons and the forecasts of all (w, m) rows.  Per
+fit, only the components a forecast uses are projected and
+diagonal-averaged, and only the last l-1 trendline values are kept.
+Every step uses the operations of ``decompose``, ``trendline`` and
+``recurrence_coefficients`` (which shares the prefix sums), so the grid
+search forecasts from the same bits as a per-prefix fit would.
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ from .core import (
     VerticalityError,
     phi_arrays,
 )
-from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _build, _gram
-from .embedding import StackingMode
+from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _checked_eigh, _gram
 from .parallel import run_tasks
 from .reconstruction import Grouping
 
@@ -42,19 +48,33 @@ class RecurrenceCoefficients:
         return int(self.alpha.size)
 
 
+def _prefix_weights(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pi pi and nu^2 of every leading set of the eigenvector columns of u
+    (..., l, M): column m-1 of the (..., l-1, M) and (..., M) results sums
+    the first m columns in order, so the bits do not depend on how u was
+    sliced or on how many columns follow."""
+    pi = u[..., -1, :]
+    return np.cumsum(u[..., :-1, :] * pi[..., None, :], axis=-1), np.cumsum(pi * pi, axis=-1)
+
+
+def _alpha(pp: np.ndarray, nu2) -> np.ndarray:
+    """alpha = reverse(Pi pi) / (1 - nu^2) of rows pp (..., l-1), so that
+    alpha[..., j-1] multiplies lag j."""
+    return pp[..., ::-1] / np.expand_dims(1.0 - nu2, -1)
+
+
 def _recurrence(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """(alpha, nu^2) of the eigenvectors in the columns of u; raises
-    ``VerticalityError`` when nu^2 >= 1 - VERTICALITY_TOL.  A contiguous copy
-    makes the bits independent of how u was sliced."""
-    u = np.ascontiguousarray(u)
-    pi1 = u[-1, :]
-    nu2 = float(pi1 @ pi1)
+    """(alpha, nu^2) of the eigenvectors in the columns of u, from the last
+    of ``_prefix_weights``' prefix sums; raises ``VerticalityError`` when
+    nu^2 >= 1 - VERTICALITY_TOL."""
+    pp, nu2 = _prefix_weights(u)
+    nu2 = float(nu2[-1])
     if nu2 >= 1.0 - VERTICALITY_TOL:
         raise VerticalityError(
             f"selected eigenspace is vertical (nu^2 = {nu2:.17g}); "
             "no linear recurrence exists"
         )
-    return (u[:-1, :] @ pi1)[::-1] / (1.0 - nu2), nu2
+    return _alpha(pp[:, -1], nu2), nu2
 
 
 def recurrence_coefficients(
@@ -72,7 +92,6 @@ def recurrence_coefficients(
         raise ParameterError("recurrence needs window >= 2")
     idx = np.asarray(grouping.indices, dtype=int) - 1
     alpha, nu2 = _recurrence(eig.vectors[:, idx])
-    alpha = np.ascontiguousarray(alpha)
     alpha.flags.writeable = False
     return RecurrenceCoefficients(alpha=alpha, verticality=nu2)
 
@@ -156,40 +175,89 @@ class OosResult:
     n_windows: int
 
 
+def _prefix_grids(y_lo: np.ndarray, y_hi: np.ndarray, window: int, w: int):
+    """Trajectory grids of the prefix y[:w], laid out as ``trajectory``
+    builds them."""
+    idx = np.arange(window)[:, None] + np.arange(w - window + 1)[None, :]
+    return y_lo[idx], y_hi[idx]
+
+
+def _trend_tails(
+    y_lo: np.ndarray,
+    y_hi: np.ndarray,
+    fits: np.ndarray,
+    vectors: np.ndarray,
+    d: np.ndarray,
+    top: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fits, max(top), l-1) channels of the last l-1 trendline values of
+    every fit y[:w] and leading group size, phi-ordered: [f, m-1] sums fit
+    f's first m components, for m up to top[f].
+
+    Fit f projects its trajectory grids on its d[f] leading eigenvectors and
+    diagonal-averages each component with the operations of
+    ``Decomposition.component_channels`` (the same product, the same
+    ``np.convolve``, division and component-order prefix sum), so the tails
+    are bitwise those of ``trendline`` on a per-fit ``decompose``.
+    """
+    _, l, _ = vectors.shape
+    tails = np.zeros((2, len(fits), top.max(), l - 1))
+    for f, w in enumerate(fits):
+        # a contiguous copy, laid out as ``eigen_sym`` returns it
+        ut = vectors[f].copy()[:, : d[f]].T
+        a, b = _prefix_grids(y_lo, y_hi, l, w)
+        for row, proj in zip(tails[:, f], (ut @ a, ut @ b)):
+            for i in range(top[f]):
+                row[i] = np.convolve(ut[i], proj[i])[1 - l :]
+    # antidiagonal lengths of the last l-1 positions of each fit
+    tails /= np.minimum(np.arange(l - 1, 0, -1), fits[:, None] - l + 1)[:, None, :]
+    return phi_arrays(*np.cumsum(tails, axis=2))
+
+
 def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
     """(len(fits), len(m_grid)) forecast errors of one window (inf where the
-    fit failed) and the first failure reason of each failed m.  Fits are
-    built from the trajectory grids, with no series or pair-matrix object."""
+    fit failed) and the first failure reason of each failed m.
+
+    Each fit y[:w] costs one Gram product and the diagonal averaging of the
+    components it forecasts with; the eigensolve, the recurrence weights of
+    every m, the failure reasons and the forecasts run once for the whole
+    window on stacked arrays.  A failing fit raises what ``decompose``
+    would raise on it, the first in ascending fit length."""
     y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
-    order = window - 1
-    errors = np.full((len(fits), len(m_grid)), np.inf)
-    reasons: dict[int, str] = {}
-    rows, alphas, starts = [], [], []
-    for i, w in enumerate(fits):
-        idx = np.arange(window)[:, None] + np.arange(w - order)[None, :]
-        a, b = y_lo[idx], y_hi[idx]
-        dec = _build(a, b, _gram(a, b), StackingMode.UNIVARIATE, window, 1, w, rank_eps)
-        feasible = [m for m in m_grid if m <= dec.d]
-        for m in m_grid[len(feasible) :]:
-            reasons.setdefault(m, "rank")
-        ca, cb = dec.component_channels(range(1, max(feasible, default=0) + 1))
-        trend_lo, trend_hi = phi_arrays(
-            np.cumsum(ca[:, -order:], axis=0), np.cumsum(cb[:, -order:], axis=0)
+    fits = np.asarray(fits)
+    s = np.empty((len(fits), window, window))
+    for f, w in enumerate(fits):
+        s[f] = _gram(*_prefix_grids(y_lo, y_hi, window, w))
+    nonzero = np.logical_or.accumulate((y_lo != 0) | (y_hi != 0))[fits - 1]
+    _, vectors, d = _checked_eigh(s, rank_eps, nonzero)
+    del s  # as large as the eigenvectors, and no longer needed
+    ms = np.asarray(m_grid)
+    r = min(max(m_grid), window)
+    pp, nu2 = _prefix_weights(vectors[:, :, :r])
+    # per (fit, m) cell: short of rank, else vertical; the first fit decides
+    col = np.minimum(ms, r) - 1
+    rank = ms > d[:, None]
+    vertical = ~rank & (nu2[:, col] >= 1.0 - VERTICALITY_TOL)
+    failed = rank | vertical
+    first = np.argmax(failed, axis=0)
+    reasons = {
+        m: "rank" if rank[first[j], j] else "vertical"
+        for j, m in enumerate(m_grid)
+        if failed[first[j], j]
+    }
+    errors = np.full(failed.shape, np.inf)
+    fit_at, m_at = np.nonzero(~failed)
+    if fit_at.size:
+        top = np.where(failed, 0, ms).max(axis=1)
+        trend_lo, trend_hi = _trend_tails(y_lo, y_hi, fits, vectors, d, top)
+        c_at = col[m_at]
+        lo, hi = _run_recurrence(
+            _alpha(pp[fit_at, :, c_at], nu2[fit_at, c_at]),
+            trend_lo[fit_at, c_at],
+            trend_hi[fit_at, c_at],
+            p,
         )
-        for j, m in enumerate(feasible):
-            try:
-                alpha, _ = _recurrence(dec.eig.vectors[:, :m])
-            except VerticalityError:
-                reasons.setdefault(m, "vertical")
-                continue
-            rows.append((i, j))
-            alphas.append(alpha)
-            starts.append((trend_lo[m - 1], trend_hi[m - 1]))
-    if rows:
-        fit_at, m_at = np.array(rows).T
-        start_lo, start_hi = np.array(starts).transpose(1, 0, 2)
-        lo, hi = _run_recurrence(np.array(alphas), start_lo, start_hi, p)
-        ahead = np.asarray(fits)[fit_at, None] + np.arange(p)
+        ahead = fits[fit_at, None] + np.arange(p)
         err = np.maximum(np.abs(y_lo[ahead] - lo), np.abs(y_hi[ahead] - hi))
         if not np.all(np.isfinite(err)):
             raise InvalidValueError("a recurrent forecast overflows float64")

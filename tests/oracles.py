@@ -234,6 +234,56 @@ def oos_objective_loop(y, l_grid, m_grid, w0, p, stride):
     return table
 
 
+# the grid search's window task as it was before the batched fit: one
+# decomposition, one eigensolve and one recurrence per fit
+
+
+def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
+    """(len(fits), len(m_grid)) forecast errors of one window (inf where the
+    fit failed) and the first failure reason of each failed m.  Fits are
+    built from the trajectory grids, with no series or pair-matrix object."""
+    from ivssa.core import InvalidValueError, VerticalityError, phi_arrays
+    from ivssa.decomposition import _build, _gram
+    from ivssa.embedding import StackingMode
+    from ivssa.forecasting import _recurrence, _run_recurrence
+
+    y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
+    order = window - 1
+    errors = np.full((len(fits), len(m_grid)), np.inf)
+    reasons: dict[int, str] = {}
+    rows, alphas, starts = [], [], []
+    for i, w in enumerate(fits):
+        idx = np.arange(window)[:, None] + np.arange(w - order)[None, :]
+        a, b = y_lo[idx], y_hi[idx]
+        dec = _build(a, b, _gram(a, b), StackingMode.UNIVARIATE, window, 1, w, rank_eps)
+        feasible = [m for m in m_grid if m <= dec.d]
+        for m in m_grid[len(feasible) :]:
+            reasons.setdefault(m, "rank")
+        ca, cb = dec.component_channels(range(1, max(feasible, default=0) + 1))
+        trend_lo, trend_hi = phi_arrays(
+            np.cumsum(ca[:, -order:], axis=0), np.cumsum(cb[:, -order:], axis=0)
+        )
+        for j, m in enumerate(feasible):
+            try:
+                alpha, _ = _recurrence(dec.eig.vectors[:, :m])
+            except VerticalityError:
+                reasons.setdefault(m, "vertical")
+                continue
+            rows.append((i, j))
+            alphas.append(alpha)
+            starts.append((trend_lo[m - 1], trend_hi[m - 1]))
+    if rows:
+        fit_at, m_at = np.array(rows).T
+        start_lo, start_hi = np.array(starts).transpose(1, 0, 2)
+        lo, hi = _run_recurrence(np.array(alphas), start_lo, start_hi, p)
+        ahead = np.asarray(fits)[fit_at, None] + np.arange(p)
+        err = np.maximum(np.abs(y_lo[ahead] - lo), np.abs(y_hi[ahead] - hi))
+        if not np.all(np.isfinite(err)):
+            raise InvalidValueError("a recurrent forecast overflows float64")
+        errors[fit_at, m_at] = err.sum(axis=1)
+    return errors, reasons
+
+
 # the per-value JSON emitter, one recursive call and one format per float
 
 

@@ -25,6 +25,7 @@ from helpers import (
     random_series,
     structured_series,
 )
+from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh
 from oracles import symbolic_cov_loop, symbolic_cross_cov_loop
 
 
@@ -176,6 +177,49 @@ class TestEigenSym:
         with pytest.raises(InvalidValueError, match="underflows"):
             decompose(tiny)
         assert decompose(IntervalSeries(np.zeros(60), np.zeros(60))).d == 0
+
+
+class TestCheckedEigh:
+    """The stacked eigensolve of the grid search, against ``eigen_sym``."""
+
+    @staticmethod
+    def gram(seed: int, l: int = 6) -> np.ndarray:
+        a = make_rng(seed).standard_normal((l, 2 * l))
+        return a @ a.T
+
+    def test_each_matrix_as_eigen_sym(self):
+        stack = np.array([self.gram(seed) for seed in range(4)])
+        values, vectors, d = _checked_eigh(stack, DEFAULT_RANK_EPS)
+        for f, s in enumerate(stack):
+            eig = eigen_sym(s)
+            assert np.array_equal(values[f], eig.values)
+            assert np.array_equal(vectors[f], eig.vectors)
+            assert d[f] == eig.d
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (("zero", "inf"), "underflows"),
+            (("inf", "zero"), "non-finite"),
+            (("skew", "zero"), "not symmetric"),
+            (("zero", "skew"), "underflows"),
+        ],
+    )
+    def test_first_failing_matrix_raises(self, order, message):
+        # as if the matrices were checked one after another: a zero matrix
+        # of a nonzero series underflowed, inf overflowed, skew is asymmetric
+        ok = self.gram(0)
+        bad = {"zero": np.zeros_like(ok), "inf": ok.copy(), "skew": ok.copy()}
+        bad["inf"][2, 3] = np.inf
+        bad["skew"][0, 1] += 1e-6 * np.max(np.abs(ok))
+        stack = np.array([ok] + [bad[name] for name in order])
+        with pytest.raises(InvalidValueError, match=message):
+            _checked_eigh(stack, DEFAULT_RANK_EPS, nonzero=np.ones(3, dtype=bool))
+
+    def test_zero_matrix_of_zero_series_has_rank_zero(self):
+        stack = np.array([np.zeros((4, 4)), self.gram(1, 4)])
+        _, _, d = _checked_eigh(stack, DEFAULT_RANK_EPS, nonzero=np.array([False, True]))
+        assert d.tolist() == [0, 4]
 
 
 class TestDecompose:

@@ -9,6 +9,7 @@ from ivssa import (
     EigenPairs,
     Grouping,
     IntervalSeries,
+    InvalidValueError,
     ParameterError,
     RecurrenceCoefficients,
     VerticalityError,
@@ -19,9 +20,18 @@ from ivssa import (
     select_params_oos,
     trendline,
 )
-from ivssa.forecasting import _recurrence, _run_recurrence
+from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh, _gram
+from ivssa.forecasting import (
+    _alpha,
+    _oos_window,
+    _prefix_grids,
+    _prefix_weights,
+    _recurrence,
+    _run_recurrence,
+    _trend_tails,
+)
 from helpers import assert_compares_by_identity, make_rng, structured_series
-from oracles import forecast_loop, oos_objective_loop
+from oracles import forecast_loop, oos_objective_loop, oos_window_loop
 
 
 def eigenpairs_from_vectors(vectors: np.ndarray) -> EigenPairs:
@@ -80,6 +90,15 @@ class TestRecurrenceCoefficients:
             alpha, _ = _recurrence(eig.vectors[:, :4])
             want = recurrence_coefficients(eig, Grouping.leading(4)).alpha
             assert np.array_equal(alpha, want)
+            # ... and so must the batched window's weights of every leading
+            # m, read from prefix sums over its stacked eigensolve
+            s = _gram(*_prefix_grids(y.lo, y.hi, 5, w))
+            _, vectors, _ = _checked_eigh(np.stack([s, s]), DEFAULT_RANK_EPS)
+            pp, nu2 = _prefix_weights(vectors[:, :, :5])
+            for m in range(1, 5):
+                alpha = _alpha(pp[1, :, m - 1], nu2[1, m - 1])
+                want = recurrence_coefficients(eig, Grouping.leading(m)).alpha
+                assert np.array_equal(alpha, want)
 
     def test_compares_by_identity(self):
         u = np.array([[1.0], [2.0], [4.0]]) / math.sqrt(21.0)
@@ -300,6 +319,16 @@ class TestSelectParamsOos:
         assert {(50, m) for m in range(5, 9)} <= res.failed
         assert set(res.failure_reasons.values()) == {"rank"}
 
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(1e160, "non-finite entries"), (1e-200, "underflows")],
+        ids=["overflow", "underflow"],
+    )
+    def test_numeric_failure_named(self, scale, message):
+        y = structured_series(60, seed=12, noise=0.3)
+        with pytest.raises(InvalidValueError, match=message):
+            select_params_oos(IntervalSeries(y.lo * scale, y.hi * scale))
+
     def test_default_grids_run(self):
         y = structured_series(60, seed=3, noise=0.2)
         res = select_params_oos(y, p=6, stride=4)
@@ -323,3 +352,88 @@ class TestSelectParamsOos:
             select_params_oos(y, l_grid=(1,), p=5)
         with pytest.raises(ParameterError):
             select_params_oos(y, m_grid=(0,), p=5)
+
+
+def window_args(y, window, w0, p, stride, m_grid):
+    """The task tuple ``select_params_oos`` hands to ``_oos_window``."""
+    fits = list(range(w0, len(y) - p + 1, stride))
+    return (y.lo, y.hi, window, fits, tuple(m_grid), p, DEFAULT_RANK_EPS)
+
+
+def assert_window_matches_loop(args):
+    """Same inf positions, finite errors within rel 1e-12 and the same
+    first failure reasons as the per-fit window of ``oos_window_loop``."""
+    got, got_reasons = _oos_window(args)
+    want, want_reasons = oos_window_loop(args)
+    assert got_reasons == want_reasons
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+    return got, got_reasons
+
+
+class TestOosWindow:
+    """The batched window task against the per-fit loop it replaced."""
+
+    def test_first_fits_short_of_columns(self):
+        # l = 50 from w0 = 51: k = 2 < l-1 for the first fits, whose rank
+        # d <= 2k makes m > 4 short of rank
+        y = structured_series(100, seed=11, noise=0.3)
+        args = window_args(y, 50, 51, 12, 1, range(1, 9))
+        errors, reasons = assert_window_matches_loop(args)
+        assert reasons == {m: "rank" for m in range(5, 9)}
+        assert np.isfinite(errors[:, :4]).all()
+
+    @pytest.mark.parametrize("w0, want", [(8, "vertical"), (7, "rank")])
+    def test_vertical_series(self, w0, want):
+        y = TestSelectParamsOos.vertical_series()
+        _, reasons = assert_window_matches_loop(window_args(y, 5, w0, 3, 1, (1, 5, 6)))
+        assert reasons == {5: want, 6: "rank"}
+
+    def test_near_vertical(self):
+        y = structured_series(40, seed=0, noise=0.2)
+        assert_window_matches_loop(window_args(y, 5, 6, 1, 1, (4,)))
+
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(["structured", "vertical"]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.2, 1.0]),
+        data=st.data(),
+    )
+    def test_matches_loop_property(self, kind, seed, noise, data):
+        if kind == "vertical":
+            y = TestSelectParamsOos.vertical_series()
+            p = data.draw(st.integers(1, 3))
+        else:
+            y = structured_series(data.draw(st.integers(24, 70)), seed=seed, noise=noise)
+            p = data.draw(st.integers(1, 6))
+        n = len(y)
+        window = data.draw(st.integers(2, n - p - 1))
+        # w0 near the window leaves the first fits with k < l-1 columns
+        w0 = data.draw(st.integers(window + 1, min(n - p, 2 * window + 2)))
+        stride = data.draw(st.integers(1, 3))
+        m_grid = sorted(data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=8)))
+        assert_window_matches_loop(window_args(y, window, w0, p, stride, m_grid))
+
+
+class TestTrendTails:
+    @pytest.mark.parametrize("window", [5, 20, 50])
+    def test_tails_match_component_channels(self, window):
+        # fit lengths from k = 2 < l-1 columns up to k > l-1
+        y = structured_series(100, seed=11, noise=0.3)
+        fits = np.array([window + 1, window + 2, window + 9, 2 * window, 99])
+        s = np.array([_gram(*_prefix_grids(y.lo, y.hi, window, w)) for w in fits])
+        _, vectors, d = _checked_eigh(s, DEFAULT_RANK_EPS)
+        top = np.minimum(d, 6)
+        trend_lo, trend_hi = _trend_tails(y.lo, y.hi, fits, vectors, d, top)
+        for f, w in enumerate(fits):
+            dec = decompose(IntervalSeries(y.lo[:w], y.hi[:w]), window)
+            assert dec.d == d[f]
+            m = top[f]
+            ca, cb = dec.component_channels(range(1, m + 1))
+            want_lo = np.minimum(np.cumsum(ca, axis=0), np.cumsum(cb, axis=0))
+            want_hi = np.maximum(np.cumsum(ca, axis=0), np.cumsum(cb, axis=0))
+            # the same operations in the same order: equal, not just close
+            np.testing.assert_array_equal(trend_lo[f, :m], want_lo[:, 1 - window :])
+            np.testing.assert_array_equal(trend_hi[f, :m], want_hi[:, 1 - window :])

@@ -402,6 +402,20 @@ class TestCliBasics:
         assert res.returncode == 3
         assert "invalid input" in res.stderr and "underflows" in res.stderr
 
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(1e160, "non-finite entries"), (1e-200, "underflows")],
+        ids=["overflow", "underflow"],
+    )
+    def test_select_params_names_numeric_failure(self, tmp_path, scale, message):
+        path = tmp_path / "scaled.csv"
+        y = structured_series(60, seed=12, noise=0.3)
+        write_series_csv(str(path), IntervalSeries(y.lo * scale, y.hi * scale))
+        res = run_cli("select-params", "--input", str(path))
+        assert res.returncode == 3
+        assert "invalid input" in res.stderr and message in res.stderr
+        assert "RuntimeWarning" not in res.stderr
+
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_max_m_below_one(self, sample_csv, bad):
         res = run_cli("select", "--input", sample_csv, "--max-m", bad)
@@ -618,6 +632,24 @@ class TestCliOutputErrors:
         assert code == 6
         err = capsys.readouterr().err
         assert f"cannot write {out}: no writable directory" in err
+
+    def test_csv_without_out_fails_before_any_work(self, sample_csv, monkeypatch, capsys):
+        def fail(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "_load_input", fail)
+        code = cli.main(["select", "--input", sample_csv, "--format", "csv"])
+        assert code == 5
+        assert "configuration error: --format csv requires --out" in capsys.readouterr().err
+
+    def test_csv_without_out_stops_mc_before_any_replication(self, monkeypatch, capsys):
+        def fail(**kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", fail)
+        code = cli.main(["mc", "--reps", "1", "--n-list", "20", "--format", "csv"])
+        assert code == 5
+        assert "configuration error: --format csv requires --out" in capsys.readouterr().err
 
     def test_write_failure_names_path(self, sample_csv, tmp_path):
         # the directory exists, so the failure comes from the write itself
