@@ -160,6 +160,13 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors, d=int(d[0]))
 
 
+def _averaged(u: np.ndarray, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The last len(counts) antidiagonal means of the rank-one matrix u w':
+    the full convolution of u with w, divided by the antidiagonal lengths
+    ``counts``.  Every trendline and trendline tail averages through here."""
+    return np.convolve(u, w)[-counts.size :] / counts
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Result of the symbolic SVD step for one (possibly stacked) trajectory matrix.
@@ -219,8 +226,8 @@ class Decomposition:
             if not 1 <= i <= self.d:
                 raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
             u = self.eig.vectors[rows, i - 1]
-            ca[r] = np.convolve(u, self._wa[i - 1, cols]) / counts
-            cb[r] = np.convolve(u, self._wb[i - 1, cols]) / counts
+            ca[r] = _averaged(u, self._wa[i - 1, cols], counts)
+            cb[r] = _averaged(u, self._wb[i - 1, cols], counts)
         return ca, cb
 
 

@@ -3,12 +3,13 @@
 One stepper, ``_run_recurrence``, advances many recurrences at once;
 ``forecast_recurrent`` is its one-row call.  The grid search runs one task
 per window l, in order, in this process, and fits the window's prefixes
-y[:w] as one batch: S = ``_gram`` of each prefix's trajectory grids, then
-one checked ``eigh`` of the stacked S.  The recurrence weights of every m
-are prefix sums over the eigenvector columns, taken for all fits at once,
-and so are the failure reasons and the forecasts of all (w, m) rows.  Per
-fit, only the components a forecast uses are projected and
-diagonal-averaged, and only the last l-1 trendline values are kept.
+y[:w] in batches of at most 8 MB of covariance: S = ``_gram`` of each
+prefix's trajectory grids, then one checked ``eigh`` of the batch's
+stacked S.  The recurrence weights of every m are prefix sums over the
+eigenvector columns, taken for all fits of a batch at once, and so are the
+failure reasons and the forecasts of its (w, m) rows.  Per fit, only
+the components a forecast uses are diagonal-averaged, and only the last
+l-1 trendline values are kept.
 Every step uses the operations of ``decompose``, ``trendline`` and
 ``recurrence_coefficients`` (which shares the prefix sums), so the grid
 search forecasts from the same bits as a per-prefix fit would.
@@ -28,12 +29,17 @@ from .core import (
     VerticalityError,
     phi_arrays,
 )
-from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _checked_eigh, _gram
+from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _averaged, _checked_eigh, _gram
 from .parallel import run_tasks
 from .reconstruction import Grouping
 
 #: nu^2 at or above this is treated as a vertical eigenspace (no recurrence).
 VERTICALITY_TOL = 1e-10
+
+#: Bytes of stacked covariance matrices one eigensolve of the grid search
+#: holds: a window with more fits runs in consecutive chunks of ascending
+#: fit length, so its memory does not grow with the number of fits.
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +200,11 @@ def _trend_tails(
     every fit y[:w] and leading group size, phi-ordered: [f, m-1] sums fit
     f's first m components, for m up to top[f].
 
-    Fit f projects its trajectory grids on its d[f] leading eigenvectors and
-    diagonal-averages each component with the operations of
-    ``Decomposition.component_channels`` (the same product, the same
-    ``np.convolve``, division and component-order prefix sum), so the tails
-    are bitwise those of ``trendline`` on a per-fit ``decompose``.
+    Fit f projects its trajectory grids on its d[f] leading eigenvectors, as
+    ``decompose`` does, and averages each component with ``_averaged``, the
+    kernel of ``Decomposition.component_channels``; the component-order
+    prefix sum is that of ``trendline``.  So the tails are bitwise those of
+    ``trendline`` on a per-fit ``decompose``.
     """
     _, l, _ = vectors.shape
     tails = np.zeros((2, len(fits), top.max(), l - 1))
@@ -206,45 +212,30 @@ def _trend_tails(
         # a contiguous copy, laid out as ``eigen_sym`` returns it
         ut = vectors[f].copy()[:, : d[f]].T
         a, b = _prefix_grids(y_lo, y_hi, l, w)
+        # antidiagonal lengths of the last l-1 positions
+        counts = np.minimum(np.arange(l - 1, 0, -1), w - l + 1)
         for row, proj in zip(tails[:, f], (ut @ a, ut @ b)):
             for i in range(top[f]):
-                row[i] = np.convolve(ut[i], proj[i])[1 - l :]
-    # antidiagonal lengths of the last l-1 positions of each fit
-    tails /= np.minimum(np.arange(l - 1, 0, -1), fits[:, None] - l + 1)[:, None, :]
+                row[i] = _averaged(ut[i], proj[i], counts)
     return phi_arrays(*np.cumsum(tails, axis=2))
 
 
-def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
-    """(len(fits), len(m_grid)) forecast errors of one window (inf where the
-    fit failed) and the first failure reason of each failed m.
-
-    Each fit y[:w] costs one Gram product and the diagonal averaging of the
-    components it forecasts with; the eigensolve, the recurrence weights of
-    every m, the failure reasons and the forecasts run once for the whole
-    window on stacked arrays.  A failing fit raises what ``decompose``
-    would raise on it, the first in ascending fit length."""
-    y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
-    fits = np.asarray(fits)
+def _oos_chunk(y_lo, y_hi, window, fits, ms, p, rank_eps):
+    """(len(fits), len(ms)) forecast errors of consecutive fits of one
+    window, inf where a cell failed, and the failed cells' masks: short of
+    rank (m > d), else vertical (nu^2 ~ 1)."""
     s = np.empty((len(fits), window, window))
     for f, w in enumerate(fits):
         s[f] = _gram(*_prefix_grids(y_lo, y_hi, window, w))
     nonzero = np.logical_or.accumulate((y_lo != 0) | (y_hi != 0))[fits - 1]
     _, vectors, d = _checked_eigh(s, rank_eps, nonzero)
     del s  # as large as the eigenvectors, and no longer needed
-    ms = np.asarray(m_grid)
-    r = min(max(m_grid), window)
+    r = min(ms.max(), window)
     pp, nu2 = _prefix_weights(vectors[:, :, :r])
-    # per (fit, m) cell: short of rank, else vertical; the first fit decides
     col = np.minimum(ms, r) - 1
     rank = ms > d[:, None]
     vertical = ~rank & (nu2[:, col] >= 1.0 - VERTICALITY_TOL)
     failed = rank | vertical
-    first = np.argmax(failed, axis=0)
-    reasons = {
-        m: "rank" if rank[first[j], j] else "vertical"
-        for j, m in enumerate(m_grid)
-        if failed[first[j], j]
-    }
     errors = np.full(failed.shape, np.inf)
     fit_at, m_at = np.nonzero(~failed)
     if fit_at.size:
@@ -262,6 +253,36 @@ def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
         if not np.all(np.isfinite(err)):
             raise InvalidValueError("a recurrent forecast overflows float64")
         errors[fit_at, m_at] = err.sum(axis=1)
+    return errors, rank, vertical
+
+
+def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
+    """(len(fits), len(m_grid)) forecast errors of one window (inf where the
+    fit failed) and the first failure reason of each failed m.
+
+    Each fit y[:w] costs one Gram product and the diagonal averaging of the
+    components it forecasts with; the eigensolve, the recurrence weights of
+    every m, the failure reasons and the forecasts run on stacked arrays,
+    once per chunk of at most _CHUNK_BYTES of covariance matrices.  A
+    failing fit raises what ``decompose`` would raise on it; chunks run in
+    ascending fit length, and so do the checks within one."""
+    y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
+    fits = np.asarray(fits)
+    ms = np.asarray(m_grid)
+    size = max(1, _CHUNK_BYTES // (8 * window * window))
+    chunks = [
+        _oos_chunk(y_lo, y_hi, window, fits[i : i + size], ms, p, rank_eps)
+        for i in range(0, len(fits), size)
+    ]
+    errors, rank, vertical = (np.concatenate(part) for part in zip(*chunks))
+    # each failed m keeps the reason of its first failing fit
+    failed = rank | vertical
+    first = np.argmax(failed, axis=0)
+    reasons = {
+        m: "rank" if rank[first[j], j] else "vertical"
+        for j, m in enumerate(m_grid)
+        if failed[first[j], j]
+    }
     return errors, reasons
 
 

@@ -21,6 +21,7 @@ from ivssa import (
     trendline,
 )
 from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh, _gram
+from ivssa import forecasting
 from ivssa.forecasting import (
     _alpha,
     _oos_window,
@@ -393,6 +394,38 @@ class TestOosWindow:
     def test_near_vertical(self):
         y = structured_series(40, seed=0, noise=0.2)
         assert_window_matches_loop(window_args(y, 5, 6, 1, 1, (4,)))
+
+    @pytest.mark.parametrize("window", [30, 120])
+    def test_chunks_match_one_batch(self, window, monkeypatch):
+        # a budget of three matrices cuts the window's fits into chunks
+        y = structured_series(2 * window + 30, seed=5, noise=0.3)
+        args = window_args(y, window, window + 1, 12, 1, range(1, 9))
+        monkeypatch.setattr(forecasting, "_CHUNK_BYTES", 1 << 40)
+        whole, whole_reasons = _oos_window(args)
+        monkeypatch.setattr(forecasting, "_CHUNK_BYTES", 3 * 8 * window**2)
+        got, reasons = assert_window_matches_loop(args)
+        assert reasons == whole_reasons
+        np.testing.assert_array_equal(got, whole)
+
+    @pytest.mark.parametrize(
+        "scale, match", [(1e160, "non-finite entries"), (1e-200, "underflows")]
+    )
+    def test_chunked_failure_is_the_first_fits(self, scale, match, monkeypatch):
+        # the values from t = 40 on make the fits from w = 41 fail: the last
+        # fit of the fifth chunk of three, after two that pass.  The loop
+        # raises the same error on that fit
+        y = structured_series(60, seed=2, noise=0.3)
+        lo, hi = y.lo.copy(), y.hi.copy()
+        lo[:40] = hi[:40] = 0.0
+        lo[40:] *= scale
+        hi[40:] *= scale
+        args = (lo, hi, 5, list(range(27, 50)), (1, 2), 3, DEFAULT_RANK_EPS)
+        monkeypatch.setattr(forecasting, "_CHUNK_BYTES", 3 * 8 * 5**2)
+        with pytest.raises(InvalidValueError, match=match) as got:
+            _oos_window(args)
+        with pytest.raises(InvalidValueError) as want:
+            oos_window_loop(args)
+        assert str(got.value) == str(want.value)
 
     @settings(max_examples=40)
     @given(
