@@ -8,14 +8,25 @@ two-channel SSA.  A fit keeps each eigenvector u_i of S with the
 projections w_i = u_i' A, u_i' B of the trajectory grids; component i is
 the rank-one pair u_i w_i', never formed as a matrix, and
 ``Decomposition.component_channels`` diagonal-averages it directly.
+
+A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
+eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
+fit computes only what is read (``_eigen_pairs``): block subspace
+iteration with Rayleigh-Ritz finds the leading eigenvectors up to a clear
+spectral gap, one Cholesky factorisation proves the rank d, and the
+eigenvalues, the eigenvectors past the gap and their projections are
+computed on first read.  A univariate large fit forms Z from one windowed
+copy of the channel series instead of the trajectory grids; S has the same
+bits either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     IntervalSeries,
@@ -25,13 +36,42 @@ from .core import (
     ShapeError,
     symbolic_channels,
 )
-from .embedding import StackingMode, default_window, stack, trajectory
+from .embedding import (
+    StackingMode,
+    default_window,
+    stack,
+    trajectory,
+    trajectory_columns,
+)
 
 #: Relative eigenvalue cutoff separating genuine rank from round-off.
 DEFAULT_RANK_EPS = 1e-10
 
 #: Relative asymmetry tolerated by the eigensolver.
 SYMMETRY_RTOL = 1e-12
+
+#: Rows of S from which a fit solves only for what is read.  On a series
+#: whose scan reads past the gap, the block iteration and the Cholesky
+#: factorisation are wasted; below this size that waste outweighs the
+#: trajectory grids and projections it saves.
+_LAZY_ROWS = 400
+
+#: Block subspace iteration: columns of the block, the last _GUARD of
+#: which only speed up convergence and hold no gap; a gap is
+#: theta_{j+1} <= _GAP_RATIO * theta_j; at most _PASSES passes.
+_BLOCK = 8
+_GUARD = 3
+_GAP_RATIO = 0.1
+_PASSES = 12
+
+#: Components past the known eigenvectors are projected this many at a time.
+_PROJECTION_BLOCK = 32
+
+#: A Ritz pair (theta_i, x_i) up to a gap j has converged once
+#: ||S x_i - theta_i x_i|| is at most this times theta_i - theta_{j+1}: that
+#: bounds the part of x_i along the eigenvectors past the gap (Davis-Kahan),
+#: so the columns a full solve adds later stay orthogonal to it.
+_ANGLE_TOL = 1e-13
 
 
 def _channel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,18 +92,22 @@ def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
     return _channel_matrix(x.a, x.b) @ _channel_matrix(y.a, y.b).T
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S = Z Z' of the trajectory grids a and b, read-only and exactly symmetric.
+def _symmetric_product(z: np.ndarray) -> np.ndarray:
+    """S = Z Z', read-only and exactly symmetric.
 
     numpy evaluates ``z @ z.T`` as one symmetric product and fills both
     triangles from it, so S == S.T bitwise.  Overflow is not warned about
     here: ``eigen_sym`` rejects the non-finite entries and names the cause.
     """
-    z = _channel_matrix(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         s = z @ z.T
     s.flags.writeable = False
     return s
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S = Z Z' of the trajectory grids a and b (see ``_symmetric_product``)."""
+    return _symmetric_product(_channel_matrix(a, b))
 
 
 def symbolic_covariance(y: PairMatrix) -> np.ndarray:
@@ -79,24 +123,83 @@ def stacked_covariance(
     return symbolic_covariance(stack(series, window, mode))
 
 
-@dataclass(frozen=True, eq=False)
+def _fill(obj, **fields) -> None:
+    """Set fields of a frozen dataclass instance."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class EigenPairs:
-    """Full symmetric eigendecomposition with descending eigenvalues.
+    """Symmetric eigendecomposition with descending eigenvalues.
 
     ``vectors`` holds orthonormal eigenvectors in columns, sign-normalized so
     each column's entry of largest magnitude is positive.  ``d`` is the rank
     cutoff: the number of eigenvalues exceeding rank_eps * lambda_1.
+
+    ``EigenPairs(values, vectors, d)`` holds a complete solve.  The pairs of
+    a large fit (see ``_eigen_pairs``) hold S and its leading eigenvectors
+    up to a spectral gap, and compute the rest on first read: ``values``
+    from ``np.linalg.eigvalsh``, and ``vectors`` from one ``eigen_sym``
+    solve that supplies only the columns past the gap.  Both are kept, and
+    neither changes the bits of what was read before, so a column or a
+    value is the same whatever was read first.  ``leading(m)`` gives the
+    first m columns and solves for nothing it does not return.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
     d: int
+    _known: np.ndarray
+    _values: np.ndarray | None
+    _vectors: np.ndarray | None
+    _s: np.ndarray | None
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray, d: int):
+        _fill(self, d=d, _known=vectors, _values=values, _vectors=vectors, _s=None)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            _fill(self, _values=_eigenvalues(self._s))
+        return self._values
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            j = self._known.shape[1]
+            vectors = np.hstack((self._known, eigen_sym(self._s).vectors[:, j:]))
+            vectors.flags.writeable = False
+            _fill(self, _vectors=vectors)
+        return self._vectors
+
+    def leading(self, m: int) -> np.ndarray:
+        """The first m eigenvector columns, (rows, m)."""
+        if m <= self._known.shape[1]:
+            return self._known[:, :m]
+        return self.vectors[:, :m]
 
 
 _UNDERFLOW = (
     "covariance of a nonzero series is zero; it underflows float64 "
     "when the series values are too small"
 )
+
+
+def _check_rank_eps(rank_eps: float) -> None:
+    if not 0.0 <= rank_eps < 1.0:
+        raise ParameterError(f"rank_eps must lie in [0, 1), got {rank_eps}")
+
+
+def _rank_of(values: np.ndarray, rank_eps: float) -> np.ndarray:
+    """Rank d of descending eigenvalues (..., l): the count above rank_eps * lambda_1."""
+    lam1 = values[..., :1]
+    return ((lam1 > 0) & (values > rank_eps * lam1)).sum(axis=-1)
+
+
+def _fix_signs(v: np.ndarray) -> None:
+    """Make the largest-magnitude entry of each column of v positive, in place."""
+    signs = np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
+    signs[signs == 0] = 1.0
+    v *= signs
 
 
 def _checked_eigh(
@@ -106,15 +209,15 @@ def _checked_eigh(
     each matrix of the stack s (f, l, l), from one ``np.linalg.eigh`` call.
     The eigenvectors come as a view that reverses ``eigh``'s column order.
 
-    Each matrix must be finite and symmetric within SYMMETRY_RTOL; where
-    ``nonzero[i]`` says matrix i is the covariance of a nonzero series, a
-    rank of zero means it underflowed.  The first failing matrix of the
-    stack raises, as if the matrices were checked one after another.
+    Each matrix must be nonempty, finite and symmetric within
+    SYMMETRY_RTOL; where ``nonzero[i]`` says matrix i is the covariance of a
+    nonzero series, a rank of zero means it underflowed.  The first failing
+    matrix of the stack raises, as if the matrices were checked one after
+    another.
     """
-    if not 0.0 <= rank_eps < 1.0:
-        raise ParameterError(f"rank_eps must lie in [0, 1), got {rank_eps}")
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
-        raise ShapeError(f"expected a square matrix, got shape {s.shape[1:]}")
+    _check_rank_eps(rank_eps)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] == 0:
+        raise ShapeError(f"expected a nonempty square matrix, got shape {s.shape[1:]}")
     finite = np.isfinite(s).all(axis=(1, 2))
     stop = int(np.argmin(finite)) if not finite.all() else len(s)
     # only a matrix that is not exactly symmetric needs the tolerance test
@@ -123,17 +226,12 @@ def _checked_eigh(
             stop = int(f)
             break
     values, vectors = np.linalg.eigh(s[:stop])
-    # Fix signs: largest-magnitude entry of each eigenvector made positive,
-    # one matrix at a time and in place, so no temporary of the stack's size.
-    cols = np.arange(s.shape[2])
+    # one matrix at a time and in place, so no temporary of the stack's size
     for v in vectors:
-        signs = np.sign(v[np.argmax(np.abs(v), axis=0), cols])
-        signs[signs == 0] = 1.0
-        v *= signs
+        _fix_signs(v)
     values = values[:, ::-1].copy()
     vectors = vectors[:, :, ::-1]
-    lam1 = values[:, :1]
-    d = ((lam1 > 0) & (values > rank_eps * lam1)).sum(axis=1)
+    d = _rank_of(values, rank_eps)
     if nonzero is not None and np.any((d == 0) & nonzero[:stop]):
         raise InvalidValueError(_UNDERFLOW)
     if stop < len(s):
@@ -160,6 +258,95 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors, d=int(d[0]))
 
 
+def _eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of S from ``np.linalg.eigvalsh``, read-only."""
+    values = np.linalg.eigvalsh(s)[::-1].copy()
+    values.flags.writeable = False
+    return values
+
+
+def _gap_block(s: np.ndarray, rank_eps: float) -> tuple[float, np.ndarray] | None:
+    """(theta_1, X): the leading eigenvectors of S up to its last clear
+    spectral gap within one block, sign-normalised, or None.
+
+    Block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
+    SIAM Review 2011), started from the _BLOCK columns of S with the
+    largest diagonal entries.  Each pass orthonormalises the block,
+    multiplies it by S and rotates it onto the Ritz vectors of S on its
+    span.  A gap is an index j among the first _BLOCK - _GUARD with
+    theta_{j+1} <= _GAP_RATIO * theta_j and theta_j above the rank cutoff.
+    X keeps the first j columns once their residuals meet _ANGLE_TOL, for
+    the largest gap j of the pass; after _PASSES passes, for the largest gap
+    whose columns have converged.  None when there is no such gap.
+    """
+    x = s[:, np.argsort(np.diag(s), kind="stable")[::-1][:_BLOCK]]
+    top = _BLOCK - _GUARD
+    for p in range(_PASSES):
+        q = np.linalg.qr(x)[0]
+        sq = s @ q
+        theta, v = np.linalg.eigh(q.T @ sq)
+        theta, v = theta[::-1], v[:, ::-1]
+        x, sx = q @ v, sq @ v
+        gaps = np.flatnonzero(
+            (theta[1 : top + 1] <= _GAP_RATIO * theta[:top])
+            & (theta[:top] > rank_eps * theta[0])
+        ) + 1
+        candidates = gaps[::-1] if p == _PASSES - 1 else gaps[-1:]
+        if candidates.size:
+            residual = np.linalg.norm(sx[:, :top] - x[:, :top] * theta[:top], axis=0)
+            for j in candidates:
+                if np.all(residual[:j] <= _ANGLE_TOL * (theta[:j] - theta[j])):
+                    lead = x[:, :j].copy()
+                    _fix_signs(lead)
+                    lead.flags.writeable = False
+                    return float(theta[0]), lead
+        x = sx
+    return None
+
+
+def _rank(s: np.ndarray, theta1: float, rank_eps: float) -> tuple[int, np.ndarray | None]:
+    """Rank d of S, with its eigenvalues when they were needed to find it.
+
+    A Cholesky factorisation of S - tau I, tau = rank_eps * theta_1, exists
+    only when every eigenvalue exceeds tau, which proves d = l.  When it
+    fails, d counts the ``eigvalsh`` eigenvalues as ``_checked_eigh`` counts
+    its own.
+    """
+    shifted = s.copy()
+    shifted.flat[:: len(s) + 1] -= rank_eps * theta1
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        values = _eigenvalues(s)
+        return int(_rank_of(values, rank_eps)), values
+    return len(s), None
+
+
+def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
+    """Eigenpairs of a fit's S, solved only as far as they are read.
+
+    Below _LAZY_ROWS rows this is ``eigen_sym``.  A finite, exactly
+    symmetric, nonzero S of at least that many keeps its leading
+    eigenvectors up to a spectral gap (``_gap_block``) and the rank from
+    ``_rank``, and computes the rest on first read (see ``EigenPairs``).
+    Any other S, one without a converged gap, or one whose rank d falls
+    short of the gap, takes ``eigen_sym``'s complete solve, which also
+    raises its errors.
+    """
+    if len(s) >= _LAZY_ROWS:
+        _check_rank_eps(rank_eps)
+        if np.isfinite(s).all() and s.any() and np.array_equal(s, s.T):
+            found = _gap_block(s, rank_eps)
+            if found is not None:
+                theta1, lead = found
+                d, values = _rank(s, theta1, rank_eps)
+                if d >= lead.shape[1]:
+                    pairs = object.__new__(EigenPairs)
+                    _fill(pairs, d=d, _known=lead, _values=values, _vectors=None, _s=s)
+                    return pairs
+    return eigen_sym(s, rank_eps)
+
+
 def _averaged(u: np.ndarray, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The last len(counts) antidiagonal means of the rank-one matrix u w':
     the full convolution of u with w, divided by the antidiagonal lengths
@@ -172,9 +359,10 @@ class Decomposition:
     """Result of the symbolic SVD step for one (possibly stacked) trajectory matrix.
 
     ``window`` is the per-series window l; for vertical stacking the
-    trajectory matrix has window * n_series rows.  ``_wa`` and ``_wb`` hold
-    the projections u_i' A and u_i' B of the trajectory grids onto the first
-    d eigenvectors, one row per component.
+    trajectory matrix has window * n_series rows.  ``_a`` and ``_b`` are the
+    trajectory grids, and ``_w`` keeps their projections u_i' A and u_i' B,
+    one row per component, by the first component of each block that
+    ``_projections`` computed.
     """
 
     mode: StackingMode
@@ -183,8 +371,9 @@ class Decomposition:
     n_series: int
     series_length: int
     eig: EigenPairs
-    _wa: np.ndarray
-    _wb: np.ndarray
+    _a: np.ndarray
+    _b: np.ndarray
+    _w: dict = field(default_factory=dict, repr=False)
 
     @property
     def d(self) -> int:
@@ -203,6 +392,26 @@ class Decomposition:
         if self.mode is StackingMode.HORIZONTAL:
             return slice(None), slice(s * self.k, (s + 1) * self.k)
         return slice(None), slice(None)
+
+    def _projections(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows u_i' A and u_i' B of the 0-based component i.
+
+        They are computed a block at a time, with one product per grid: the
+        components whose eigenvectors are known without a further solve,
+        then consecutive blocks of _PROJECTION_BLOCK components past them,
+        up to d.  So a row has the same bits whatever was read before it."""
+        j = self.eig._known.shape[1]
+        start = 0 if i < j else i - (i - j) % _PROJECTION_BLOCK
+        stop = min(j if i < j else start + _PROJECTION_BLOCK, self.d)
+        if start not in self._w:
+            u = self.eig.leading(stop)[:, start:]
+            wa = u.T @ self._a
+            wb = u.T @ self._b
+            wa.flags.writeable = False
+            wb.flags.writeable = False
+            self._w[start] = (wa, wb)
+        wa, wb = self._w[start]
+        return wa[i - start], wb[i - start]
 
     def component_channels(
         self, indices: Sequence[int], series_index: int = 1
@@ -225,9 +434,10 @@ class Decomposition:
         for r, i in enumerate(indices):
             if not 1 <= i <= self.d:
                 raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
-            u = self.eig.vectors[rows, i - 1]
-            ca[r] = _averaged(u, self._wa[i - 1, cols], counts)
-            cb[r] = _averaged(u, self._wb[i - 1, cols], counts)
+            u = self.eig.leading(i)[rows, i - 1]
+            wa, wb = self._projections(i - 1)
+            ca[r] = _averaged(u, wa[cols], counts)
+            cb[r] = _averaged(u, wb[cols], counts)
         return ca, cb
 
 
@@ -241,39 +451,47 @@ def _build(
     series_length: int,
     rank_eps: float,
 ) -> Decomposition:
-    """The one fit: eigenpairs of S = ``_gram(a, b)``, projections of a, b."""
-    eig = eigen_sym(s, rank_eps=rank_eps)
+    """The one fit: eigenpairs of S = ``_gram(a, b)`` (``_eigen_pairs``),
+    and the projections of a and b on the eigenvectors known so far."""
+    eig = _eigen_pairs(s, rank_eps)
     if eig.d == 0 and (a.any() or b.any()):
         raise InvalidValueError(_UNDERFLOW)
-    u = eig.vectors[:, : eig.d]
-    wa = u.T @ a
-    wb = u.T @ b
-    wa.flags.writeable = False
-    wb.flags.writeable = False
-    k = series_length - window + 1
-    return Decomposition(
+    dec = Decomposition(
         mode=mode,
         window=window,
-        k=k,
+        k=series_length - window + 1,
         n_series=n_series,
         series_length=series_length,
         eig=eig,
-        _wa=wa,
-        _wb=wb,
+        _a=a,
+        _b=b,
     )
+    if dec.d:
+        dec._projections(0)
+    return dec
 
 
 def decompose(
     y: IntervalSeries, window: int | None = None, rank_eps: float = DEFAULT_RANK_EPS
 ) -> Decomposition:
-    """Univariate decomposition: embed, build S, eigendecompose."""
+    """Univariate decomposition: embed, build S, eigendecompose.
+
+    A window of at least _LAZY_ROWS copies its grids straight from windows
+    of the already validated series, and forms Z from one windowed copy of
+    the channel series: the same S bits, without ``trajectory``
+    re-validating values the series has already checked."""
     if window is None:
         window = default_window(len(y))
-    mat = trajectory(y, window)
-    return _build(
-        mat.a, mat.b, symbolic_covariance(mat),
-        StackingMode.UNIVARIATE, int(window), 1, len(y), rank_eps,
-    )
+    window = int(window)
+    if window < _LAZY_ROWS:
+        mat = trajectory(y, window)
+        a, b, s = mat.a, mat.b, symbolic_covariance(mat)
+    else:
+        k = trajectory_columns(len(y), window)
+        a, b = (np.ascontiguousarray(sliding_window_view(v, k)) for v in (y.lo, y.hi))
+        channels = symbolic_channels(y.lo, y.hi)
+        s = _symmetric_product(np.hstack([sliding_window_view(c, k) for c in channels]))
+    return _build(a, b, s, StackingMode.UNIVARIATE, window, 1, len(y), rank_eps)
 
 
 def decompose_stacked(

@@ -23,15 +23,20 @@ def trajectory(y: IntervalSeries, window: int) -> PairMatrix:
     Entry (i, j) holds the ordered pair (lo[i+j], hi[i+j]) (0-based), so the
     result is Hankel by construction.
     """
-    n = len(y)
     window = int(window)
+    k = trajectory_columns(len(y), window)
+    idx = np.arange(window)[:, None] + np.arange(k)[None, :]
+    return PairMatrix(y.lo[idx], y.hi[idx])
+
+
+def trajectory_columns(n: int, window: int) -> int:
+    """Columns k = n - l + 1 of the trajectory matrix of a length-n series;
+    raises unless 2 <= l <= n-1."""
     if not 2 <= window <= n - 1:
         raise ParameterError(
             f"window must satisfy 2 <= l <= n-1, got l={window} for n={n}"
         )
-    k = n - window + 1
-    idx = np.arange(window)[:, None] + np.arange(k)[None, :]
-    return PairMatrix(y.lo[idx], y.hi[idx])
+    return n - window + 1
 
 
 def stack(

@@ -94,10 +94,11 @@ def recurrence_coefficients(
     admits no recurrence.
     """
     grouping.validate(eig.d)
-    if eig.vectors.shape[0] < 2:
-        raise ParameterError("recurrence needs window >= 2")
     idx = np.asarray(grouping.indices, dtype=int) - 1
-    alpha, nu2 = _recurrence(eig.vectors[:, idx])
+    u = eig.leading(idx.max() + 1)
+    if u.shape[0] < 2:
+        raise ParameterError("recurrence needs window >= 2")
+    alpha, nu2 = _recurrence(u[:, idx])
     alpha.flags.writeable = False
     return RecurrenceCoefficients(alpha=alpha, verticality=nu2)
 

@@ -71,21 +71,7 @@ def periodogram(e: IntervalSeries) -> PeriodogramResult:
     channel means.  Zero total power raises ``DegenerateSpectrumError``,
     which callers treat as a perfect fit.
     """
-    n = len(e)
-    if n < 4:
-        raise ParameterError(f"periodogram needs n >= 4, got {n}")
-    if not (e.lo.any() or e.hi.any()):
-        raise DegenerateSpectrumError("residual series is identically zero")
-    j_count = (n - 1) // 2
-    j = np.arange(1, j_count + 1)
-    freqs = 2.0 * np.pi * j / n
-    spec = np.fft.rfft(symbolic_channels(e.lo, e.hi))[:, 1 : j_count + 1]
-    ordinates = (spec.real**2 + spec.imag**2).sum(axis=0) / (2.0 * np.pi * n)
-    total = float(ordinates.sum())
-    if total <= 0.0:
-        raise DegenerateSpectrumError("residual spectrum has zero total power")
-    cumulative = np.cumsum(ordinates) / total
-    ks = float(np.sqrt(j_count) * np.max(np.abs(cumulative - j / j_count)))
+    freqs, ordinates, cumulative, ks = _periodogram(e.lo, e.hi)
     for arr in (freqs, ordinates, cumulative):
         arr.flags.writeable = False
     return PeriodogramResult(
@@ -95,6 +81,29 @@ def periodogram(e: IntervalSeries) -> PeriodogramResult:
         ks_stat=ks,
         n_clipped=0,
     )
+
+
+def _periodogram(
+    lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Frequencies, ordinates, cumulative periodogram and KS statistic of
+    the interval series with endpoint arrays lo, hi (see ``periodogram``)."""
+    n = lo.size
+    if n < 4:
+        raise ParameterError(f"periodogram needs n >= 4, got {n}")
+    if not (lo.any() or hi.any()):
+        raise DegenerateSpectrumError("residual series is identically zero")
+    j_count = (n - 1) // 2
+    j = np.arange(1, j_count + 1)
+    freqs = 2.0 * np.pi * j / n
+    spec = np.fft.rfft(symbolic_channels(lo, hi))[:, 1 : j_count + 1]
+    ordinates = (spec.real**2 + spec.imag**2).sum(axis=0) / (2.0 * np.pi * n)
+    total = float(ordinates.sum())
+    if total <= 0.0:
+        raise DegenerateSpectrumError("residual spectrum has zero total power")
+    cumulative = np.cumsum(ordinates) / total
+    ks = float(np.sqrt(j_count) * np.max(np.abs(cumulative - j / j_count)))
+    return freqs, ordinates, cumulative, ks
 
 
 def residual_whiteness(
@@ -117,12 +126,11 @@ def residual_whiteness(
     rms = float(np.sqrt(np.mean(res_a**2 + res_b**2)))
     if rms <= PERFECT_FIT_RTOL * scale:
         return math.nan, True, True
-    lo, hi = phi_arrays(res_a, res_b)
     try:
-        pg = periodogram(IntervalSeries(lo, hi))
+        ks = _periodogram(*phi_arrays(res_a, res_b))[3]
     except DegenerateSpectrumError:
         return math.nan, True, True
-    return pg.ks_stat, pg.ks_stat <= critical_value, False
+    return ks, ks <= critical_value, False
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,44 @@ def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
     return errors, reasons
 
 
+# the univariate fit as it was before large fits solved only what they
+# read: trajectory grids, the complete eigensolve and the projections on
+# all d eigenvectors, at any window
+
+
+def decompose_full(y, window: int | None = None, rank_eps: float | None = None):
+    """``decompose`` through ``eigen_sym``'s complete solve at any window."""
+    from ivssa.core import InvalidValueError
+    from ivssa.decomposition import (
+        _UNDERFLOW,
+        DEFAULT_RANK_EPS,
+        Decomposition,
+        eigen_sym,
+        symbolic_covariance,
+    )
+    from ivssa.embedding import StackingMode, default_window, trajectory
+
+    window = default_window(len(y)) if window is None else int(window)
+    rank_eps = DEFAULT_RANK_EPS if rank_eps is None else rank_eps
+    mat = trajectory(y, window)
+    eig = eigen_sym(symbolic_covariance(mat), rank_eps)
+    if eig.d == 0 and (mat.a.any() or mat.b.any()):
+        raise InvalidValueError(_UNDERFLOW)
+    u = eig.vectors[:, : eig.d]
+    dec = Decomposition(
+        mode=StackingMode.UNIVARIATE,
+        window=window,
+        k=len(y) - window + 1,
+        n_series=1,
+        series_length=len(y),
+        eig=eig,
+        _a=mat.a,
+        _b=mat.b,
+        _w={0: (u.T @ mat.a, u.T @ mat.b)},
+    )
+    return dec
+
+
 # the per-value JSON emitter, one recursive call and one format per float
 
 

@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivssa import (
+    Grouping,
     IntervalSeries,
     InvalidValueError,
     PairMatrix,
@@ -14,19 +19,22 @@ from ivssa import (
     decompose_stacked,
     eigen_sym,
     pair_cross_covariance,
+    recurrence_coefficients,
     stack,
     stacked_covariance,
     symbolic_covariance,
 )
 from helpers import (
     assert_compares_by_identity,
+    child_env,
     make_rng,
     random_pair_matrix,
     random_series,
     structured_series,
 )
-from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh
-from oracles import symbolic_cov_loop, symbolic_cross_cov_loop
+from ivssa.decomposition import _LAZY_ROWS, DEFAULT_RANK_EPS, _checked_eigh
+from ivssa.io import write_series_csv
+from oracles import decompose_full, symbolic_cov_loop, symbolic_cross_cov_loop
 
 
 class TestSymbolicCovariance:
@@ -156,6 +164,10 @@ class TestEigenSym:
         with pytest.raises(InvalidValueError):
             eigen_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ShapeError, match="nonempty square matrix"):
+            eigen_sym(np.zeros((0, 0)))
+
     def test_non_finite_entries_rejected(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(InvalidValueError, match="non-finite"):
@@ -270,3 +282,166 @@ class TestDecompose:
             compute_uv=False,
         )
         assert np.allclose(dec.eig.values, sing**2, rtol=1e-10, atol=1e-10)
+
+
+def long_shaped(n: int, seed: int) -> IntervalSeries:
+    """Trend, one cycle of period 100 and white endpoint noise: a clear
+    spectral gap after the third component."""
+    rng = make_rng(seed)
+    t = np.arange(n)
+    mid = (
+        20.0
+        + 0.004 * t
+        + 3.0 * np.sin(2 * np.pi * t / 100.0 + rng.uniform(0.0, 2 * np.pi))
+        + rng.normal(0.0, 0.5, n)
+    )
+    half = 1.0 + rng.uniform(0.0, 0.2, n)
+    return IntervalSeries(mid - half, mid + half)
+
+
+def weekly_shaped(n: int, seed: int) -> IntervalSeries:
+    """Weekly low/high prices, a log-random walk with drift and an annual
+    swing: a gap after the level, then a slowly falling spectrum."""
+    rng = make_rng(seed)
+    t = np.arange(n)
+    mid = np.exp(
+        math.log(850.0)
+        + 0.004 * t
+        + 0.06 * np.sin(2 * np.pi * t / 52.0)
+        + np.cumsum(rng.normal(0.0, 0.025, n))
+    )
+    half = mid * (0.01 + rng.uniform(0.0, 0.035, n))
+    return IntervalSeries(mid - half, mid + half)
+
+
+def rel_rows(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference of two (rows, n) arrays, row by row relative to
+    the row's largest magnitude."""
+    return float(np.max(np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)))
+
+
+class TestLargeFits:
+    """Fits whose S has at least ``_LAZY_ROWS`` rows solve only for what is
+    read; ``decompose_full`` is the complete solve at the same window."""
+
+    @settings(max_examples=12)
+    @given(
+        shape=st.sampled_from([long_shaped, weekly_shaped]),
+        seed=st.integers(0, 2**16),
+        window=st.integers(_LAZY_ROWS, _LAZY_ROWS + 40),
+        extra=st.integers(-20, 20),
+    )
+    def test_matches_complete_solve(self, shape, seed, window, extra):
+        y = shape(2 * window - 1 + extra, seed)
+        dec, ref = decompose(y, window), decompose_full(y, window)
+        assert dec.d == ref.d
+        count = min(dec.eig._known.shape[1] + 4, dec.d)
+        indices = range(1, count + 1)
+        for got, want in zip(dec.component_channels(indices), ref.component_channels(indices)):
+            assert rel_rows(got, want) <= 1e-10
+        for m in indices:
+            got = recurrence_coefficients(dec.eig, Grouping.leading(m)).alpha
+            want = recurrence_coefficients(ref.eig, Grouping.leading(m)).alpha
+            assert rel_rows(got[None], want[None]) <= 1e-10
+        lam1 = ref.eig.values[0]
+        assert np.max(np.abs(dec.eig.values - ref.eig.values)) <= 1e-13 * lam1
+        u = dec.eig.vectors
+        assert np.max(np.abs(u.T @ u - np.eye(window))) <= 1e-12
+
+    def test_gap_path_reads_past_the_gap(self):
+        # the long shape has its gap after three components; a read past it
+        # solves for the rest, and the leading columns keep their bits
+        y = long_shaped(2 * _LAZY_ROWS + 9, seed=1)
+        dec = decompose(y, _LAZY_ROWS)
+        eig = dec.eig
+        assert eig._s is not None and eig._known.shape[1] == 3
+        assert eig._values is None and eig._vectors is None and dec.d == _LAZY_ROWS
+        known = eig.leading(3).copy()
+        dec.component_channels((4,))
+        assert np.array_equal(eig.vectors[:, :3], known)
+        assert eig._values is None  # the eigenvalues are still unread
+
+    def test_bits_independent_of_read_order(self):
+        y = long_shaped(2 * _LAZY_ROWS + 9, seed=2)
+        first = decompose(y, _LAZY_ROWS)
+        j = first.eig._known.shape[1]
+        assert first.eig._s is not None and j + 40 < first.d
+        indices = range(1, j + 41)
+        # gap components first, then past the gap, then the eigenvalues
+        lead = first.component_channels(range(1, j + 1))
+        past = first.component_channels(range(j + 1, j + 41))
+        first_alpha = recurrence_coefficients(first.eig, Grouping.leading(j)).alpha
+        first.eig.values
+        # the eigenvectors and eigenvalues first, then every component
+        second = decompose(y, _LAZY_ROWS)
+        second.eig.vectors
+        second.eig.values
+        # the eigenvalues, then a component of the second block past the gap
+        third = decompose(y, _LAZY_ROWS)
+        third.eig.values
+        third.component_channels((j + 40,))
+        for dec in (second, third):
+            ca, cb = dec.component_channels(indices)
+            assert np.array_equal(ca, np.vstack((lead[0], past[0])))
+            assert np.array_equal(cb, np.vstack((lead[1], past[1])))
+            alpha = recurrence_coefficients(dec.eig, Grouping.leading(j)).alpha
+            assert np.array_equal(alpha, first_alpha)
+            assert np.array_equal(dec.eig.vectors, first.eig.vectors)
+            assert np.array_equal(dec.eig.values, first.eig.values)
+
+    def test_rank_deficient_covariance_exact_rank(self):
+        # a pure sine with a constant radius spans three directions, so the
+        # Cholesky factorisation fails and eigvalsh counts d
+        t = np.arange(2 * _LAZY_ROWS)
+        s = np.sin(2 * np.pi * t / 40.0)
+        y = IntervalSeries(s, s + 1.0)
+        dec = decompose(y, _LAZY_ROWS)
+        assert dec.eig._s is not None and dec.eig._values is not None
+        assert dec.d == decompose_full(y, _LAZY_ROWS).d == 3
+
+    def test_rank_eps_zero(self):
+        y = long_shaped(2 * _LAZY_ROWS - 1, seed=3)
+        dec = decompose(y, _LAZY_ROWS, rank_eps=0.0)
+        assert dec.eig._s is not None
+        assert dec.d == decompose_full(y, _LAZY_ROWS, rank_eps=0.0).d == _LAZY_ROWS
+
+    @pytest.mark.parametrize("rank_eps", [math.nan, 1.0, -1.0])
+    def test_rank_eps_outside_unit_interval_rejected(self, rank_eps):
+        y = long_shaped(2 * _LAZY_ROWS - 1, seed=3)
+        with pytest.raises(ParameterError, match="rank_eps must lie in"):
+            decompose(y, _LAZY_ROWS, rank_eps=rank_eps)
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(1e160, "non-finite entries"), (1e-200, "underflows")],
+        ids=["overflow", "underflow"],
+    )
+    def test_scaled_series_names_cause(self, tmp_path, scale, message):
+        y = long_shaped(2 * _LAZY_ROWS - 1, seed=4)
+        scaled = IntervalSeries(y.lo * scale, y.hi * scale)
+        with pytest.raises(InvalidValueError, match=message) as got:
+            decompose(scaled)
+        with pytest.raises(InvalidValueError) as want:
+            decompose_full(scaled)
+        assert str(got.value) == str(want.value)
+        path = tmp_path / "scaled.csv"
+        write_series_csv(str(path), scaled)
+        res = subprocess.run(
+            [sys.executable, "-m", "ivssa", "decompose", "--input", str(path)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert res.returncode == 3
+        assert message in res.stderr and "RuntimeWarning" not in res.stderr
+
+    def test_below_threshold_is_the_complete_solve(self):
+        y = long_shaped(2 * _LAZY_ROWS - 3, seed=5)
+        window = _LAZY_ROWS - 1
+        dec, ref = decompose(y, window), decompose_full(y, window)
+        assert dec.eig._s is None and dec.d == ref.d
+        assert np.array_equal(dec.eig.values, ref.eig.values)
+        assert np.array_equal(dec.eig.vectors, ref.eig.vectors)
+        indices = range(1, dec.d + 1)
+        for got, want in zip(dec.component_channels(indices), ref.component_channels(indices)):
+            assert np.array_equal(got, want)
+        got = recurrence_coefficients(dec.eig, Grouping.leading(5)).alpha
+        assert np.array_equal(got, recurrence_coefficients(ref.eig, Grouping.leading(5)).alpha)

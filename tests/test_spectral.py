@@ -12,6 +12,8 @@ from ivssa import (
     decompose_stacked,
     ks_critical_value,
     periodogram,
+    phi_arrays,
+    residual_whiteness,
     select_components,
     select_from_decomposition,
 )
@@ -97,6 +99,26 @@ class TestPeriodogram:
         peak = int(np.argmax(pg.ordinates))
         assert peak == 7  # frequency index j = 8
         assert pg.ordinates[peak] > 10 * np.median(pg.ordinates)
+
+
+class TestResidualWhiteness:
+    def test_statistic_is_the_periodogram_statistic(self):
+        # the scan tests the residual arrays directly, with no series object,
+        # and must give periodogram's statistic on the same residuals
+        y = structured_series(80, seed=4, noise=0.3)
+        dec = decompose(y, 20)
+        crit = ks_critical_value(0.05)
+        for m in range(1, 6):
+            ca, cb = dec.component_channels(range(1, m + 1))
+            lo, hi = phi_arrays(ca.sum(axis=0), cb.sum(axis=0))
+            ks, accepted, perfect = residual_whiteness(y, lo, hi, crit)
+            want = periodogram(IntervalSeries(*phi_arrays(y.lo - lo, y.hi - hi))).ks_stat
+            assert ks == want and accepted == (want <= crit) and not perfect
+
+    def test_short_residuals_rejected(self):
+        y = IntervalSeries(np.array([0.0, 1.0, 0.5]), np.array([1.0, 2.0, 2.5]))
+        with pytest.raises(ParameterError, match="periodogram needs n >= 4"):
+            residual_whiteness(y, np.zeros(3), np.zeros(3), 1.358)
 
 
 class TestSelection:
