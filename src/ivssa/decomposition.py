@@ -15,9 +15,9 @@ fit computes only what is read (``_eigen_pairs``): block subspace
 iteration with Rayleigh-Ritz finds the leading eigenvectors up to a clear
 spectral gap, one Cholesky factorisation proves the rank d, and the
 eigenvalues, the eigenvectors past the gap and their projections are
-computed on first read.  A univariate large fit forms Z from one windowed
-copy of the channel series instead of the trajectory grids; S has the same
-bits either way.
+computed on first read.  A univariate fit forms Z from windows of the
+channel series instead of the channels of the trajectory grids; S has the
+same bits either way.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     IntervalSeries,
@@ -36,13 +35,7 @@ from .core import (
     ShapeError,
     symbolic_channels,
 )
-from .embedding import (
-    StackingMode,
-    default_window,
-    stack,
-    trajectory,
-    trajectory_columns,
-)
+from .embedding import StackingMode, default_window, stack, trajectory_columns
 
 #: Relative eigenvalue cutoff separating genuine rank from round-off.
 DEFAULT_RANK_EPS = 1e-10
@@ -53,7 +46,7 @@ SYMMETRY_RTOL = 1e-12
 #: Rows of S from which a fit solves only for what is read.  On a series
 #: whose scan reads past the gap, the block iteration and the Cholesky
 #: factorisation are wasted; below this size that waste outweighs the
-#: trajectory grids and projections it saves.
+#: eigenpairs and projections it saves.
 _LAZY_ROWS = 400
 
 #: Block subspace iteration: columns of the block, the last _GUARD of
@@ -359,10 +352,11 @@ class Decomposition:
     """Result of the symbolic SVD step for one (possibly stacked) trajectory matrix.
 
     ``window`` is the per-series window l; for vertical stacking the
-    trajectory matrix has window * n_series rows.  ``_a`` and ``_b`` are the
-    trajectory grids, and ``_w`` keeps their projections u_i' A and u_i' B,
-    one row per component, by the first component of each block that
-    ``_projections`` computed.
+    trajectory matrix has window * n_series rows.  ``_w`` keeps the
+    projections u_i' A and u_i' B of the trajectory grids, one row per
+    component, by the first component of each block that ``_projections``
+    computed.  The grids ``_a`` and ``_b`` are kept only while components
+    remain to be projected, which is when ``eig`` holds part of a solve.
     """
 
     mode: StackingMode
@@ -371,8 +365,8 @@ class Decomposition:
     n_series: int
     series_length: int
     eig: EigenPairs
-    _a: np.ndarray
-    _b: np.ndarray
+    _a: np.ndarray | None
+    _b: np.ndarray | None
     _w: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -468,7 +462,18 @@ def _build(
     )
     if dec.d:
         dec._projections(0)
+    if eig._s is None:  # a complete solve: every component is projected
+        _fill(dec, _a=None, _b=None)
     return dec
+
+
+def _windows(v: np.ndarray, window: int, k: int) -> np.ndarray:
+    """(window, k) view of the contiguous series v with entry (i, j) = v[i + j].
+
+    Built on v's buffer rather than with ``as_strided``: a process copying
+    a few thousand ``as_strided`` windows kept about 1 MB more allocated
+    (numpy 2.4)."""
+    return np.ndarray((window, k), v.dtype, v, 0, (v.strides[0],) * 2)
 
 
 def decompose(
@@ -476,21 +481,17 @@ def decompose(
 ) -> Decomposition:
     """Univariate decomposition: embed, build S, eigendecompose.
 
-    A window of at least _LAZY_ROWS copies its grids straight from windows
-    of the already validated series, and forms Z from one windowed copy of
-    the channel series: the same S bits, without ``trajectory``
-    re-validating values the series has already checked."""
+    The grids are copies of windows of the already validated series, and Z
+    is one copy of windows of its channel series: the bits of
+    ``trajectory`` and ``symbolic_covariance``, without re-validating
+    values the series has already checked."""
     if window is None:
         window = default_window(len(y))
     window = int(window)
-    if window < _LAZY_ROWS:
-        mat = trajectory(y, window)
-        a, b, s = mat.a, mat.b, symbolic_covariance(mat)
-    else:
-        k = trajectory_columns(len(y), window)
-        a, b = (np.ascontiguousarray(sliding_window_view(v, k)) for v in (y.lo, y.hi))
-        channels = symbolic_channels(y.lo, y.hi)
-        s = _symmetric_product(np.hstack([sliding_window_view(c, k) for c in channels]))
+    k = trajectory_columns(len(y), window)
+    a, b = (_windows(v, window, k).copy() for v in (y.lo, y.hi))
+    c, r = symbolic_channels(y.lo, y.hi)
+    s = _symmetric_product(np.hstack((_windows(c, window, k), _windows(r, window, k))))
     return _build(a, b, s, StackingMode.UNIVARIATE, window, 1, len(y), rank_eps)
 
 

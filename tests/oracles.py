@@ -284,13 +284,17 @@ def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
     return errors, reasons
 
 
-# the univariate fit as it was before large fits solved only what they
-# read: trajectory grids, the complete eigensolve and the projections on
-# all d eigenvectors, at any window
+# the fit as it was before large fits solved only what they read: the
+# (stacked) trajectory grids, symbolic_covariance, the complete eigensolve
+# and the projections on all d eigenvectors, at any window
 
 
-def decompose_full(y, window: int | None = None, rank_eps: float | None = None):
-    """``decompose`` through ``eigen_sym``'s complete solve at any window."""
+def decompose_full(
+    y, window: int | None = None, rank_eps: float | None = None, mode=None
+):
+    """``decompose`` of the series y, or with a stacking ``mode``
+    ``decompose_stacked`` of the list of series y, through ``eigen_sym``'s
+    complete solve at any window."""
     from ivssa.core import InvalidValueError
     from ivssa.decomposition import (
         _UNDERFLOW,
@@ -299,27 +303,29 @@ def decompose_full(y, window: int | None = None, rank_eps: float | None = None):
         eigen_sym,
         symbolic_covariance,
     )
-    from ivssa.embedding import StackingMode, default_window, trajectory
+    from ivssa.embedding import StackingMode, default_window, stack
 
-    window = default_window(len(y)) if window is None else int(window)
+    series = [y] if mode is None else list(y)
+    mode = StackingMode.UNIVARIATE if mode is None else mode
+    n = len(series[0])
+    window = default_window(n, len(series), mode) if window is None else int(window)
     rank_eps = DEFAULT_RANK_EPS if rank_eps is None else rank_eps
-    mat = trajectory(y, window)
+    mat = stack(series, window, mode)
     eig = eigen_sym(symbolic_covariance(mat), rank_eps)
     if eig.d == 0 and (mat.a.any() or mat.b.any()):
         raise InvalidValueError(_UNDERFLOW)
     u = eig.vectors[:, : eig.d]
-    dec = Decomposition(
-        mode=StackingMode.UNIVARIATE,
+    return Decomposition(
+        mode=mode,
         window=window,
-        k=len(y) - window + 1,
-        n_series=1,
-        series_length=len(y),
+        k=n - window + 1,
+        n_series=len(series),
+        series_length=n,
         eig=eig,
-        _a=mat.a,
-        _b=mat.b,
+        _a=None,
+        _b=None,
         _w={0: (u.T @ mat.a, u.T @ mat.b)},
     )
-    return dec
 
 
 # the per-value JSON emitter, one recursive call and one format per float

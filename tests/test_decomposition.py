@@ -320,6 +320,26 @@ def rel_rows(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)))
 
 
+def assert_matches_complete_solve(dec, ref) -> int:
+    """The fit dec against the complete solve ref: the same d, the first
+    components past the gap within rel 1e-10 of each component's size over
+    all series, values within 1e-13 lambda_1, and ||U'U - I|| <= 1e-12
+    once every column is read.  Returns the number of components checked."""
+    assert dec.d == ref.d
+    count = min(dec.eig._known.shape[1] + 4, dec.d)
+    indices = range(1, count + 1)
+    blocks = range(1, dec.n_series + 1)
+    got = [np.hstack(c) for c in zip(*(dec.component_channels(indices, s) for s in blocks))]
+    want = [np.hstack(c) for c in zip(*(ref.component_channels(indices, s) for s in blocks))]
+    for g, w in zip(got, want):
+        assert rel_rows(g, w) <= 1e-10
+    lam1 = ref.eig.values[0]
+    assert np.max(np.abs(dec.eig.values - ref.eig.values)) <= 1e-13 * lam1
+    u = dec.eig.vectors
+    assert np.max(np.abs(u.T @ u - np.eye(len(u)))) <= 1e-12
+    return count
+
+
 class TestLargeFits:
     """Fits whose S has at least ``_LAZY_ROWS`` rows solve only for what is
     read; ``decompose_full`` is the complete solve at the same window."""
@@ -334,19 +354,47 @@ class TestLargeFits:
     def test_matches_complete_solve(self, shape, seed, window, extra):
         y = shape(2 * window - 1 + extra, seed)
         dec, ref = decompose(y, window), decompose_full(y, window)
-        assert dec.d == ref.d
-        count = min(dec.eig._known.shape[1] + 4, dec.d)
-        indices = range(1, count + 1)
-        for got, want in zip(dec.component_channels(indices), ref.component_channels(indices)):
-            assert rel_rows(got, want) <= 1e-10
-        for m in indices:
+        for m in range(1, assert_matches_complete_solve(dec, ref) + 1):
             got = recurrence_coefficients(dec.eig, Grouping.leading(m)).alpha
             want = recurrence_coefficients(ref.eig, Grouping.leading(m)).alpha
             assert rel_rows(got[None], want[None]) <= 1e-10
-        lam1 = ref.eig.values[0]
-        assert np.max(np.abs(dec.eig.values - ref.eig.values)) <= 1e-13 * lam1
-        u = dec.eig.vectors
-        assert np.max(np.abs(u.T @ u - np.eye(window))) <= 1e-12
+
+    @settings(max_examples=12)
+    @given(
+        shape=st.sampled_from([long_shaped, weekly_shaped]),
+        mode=st.sampled_from([StackingMode.VERTICAL, StackingMode.HORIZONTAL]),
+        scale=st.sampled_from([1.0, 1e-3, 1e3]),
+        seed=st.integers(0, 2**16),
+        extra=st.integers(0, 20),
+    )
+    def test_stacked_matches_complete_solve(self, shape, mode, scale, seed, extra):
+        # two series, the second at another scale: S has 2l rows vertically
+        # and l horizontally, and its largest diagonal entries, which start
+        # the block iteration, can all lie in one series' rows
+        if mode is StackingMode.VERTICAL:
+            window = _LAZY_ROWS // 2 + extra
+            n = 3 * window - 1
+        else:
+            window = _LAZY_ROWS + extra
+            n = 3 * window // 2
+        other = shape(n, seed + 1)
+        series = [shape(n, seed), IntervalSeries(other.lo * scale, other.hi * scale)]
+        dec = decompose_stacked(series, window, mode)
+        assert dec.eig._s is not None
+        assert_matches_complete_solve(dec, decompose_full(series, window, mode=mode))
+
+    @pytest.mark.parametrize("mode", [StackingMode.VERTICAL, StackingMode.HORIZONTAL])
+    def test_stacked_level_beside_a_sine(self, mode):
+        # a constant interval holds S's largest diagonal entries and its
+        # leading eigenvector; the sine's pair must still be found
+        t = np.arange(3 * _LAZY_ROWS // 2)
+        sine = np.sin(2 * np.pi * t / 40.0)
+        level = np.full(t.size, 2.0)
+        series = [IntervalSeries(sine, sine + 0.5), IntervalSeries(level, level + 1.0)]
+        window = _LAZY_ROWS // 2 + 1 if mode is StackingMode.VERTICAL else _LAZY_ROWS + 1
+        dec = decompose_stacked(series, window, mode)
+        assert dec.eig._s is not None and dec.eig._known.shape[1] == 3
+        assert_matches_complete_solve(dec, decompose_full(series, window, mode=mode))
 
     def test_gap_path_reads_past_the_gap(self):
         # the long shape has its gap after three components; a read past it
@@ -438,6 +486,7 @@ class TestLargeFits:
         window = _LAZY_ROWS - 1
         dec, ref = decompose(y, window), decompose_full(y, window)
         assert dec.eig._s is None and dec.d == ref.d
+        assert dec._a is None and dec._b is None  # every component is projected
         assert np.array_equal(dec.eig.values, ref.eig.values)
         assert np.array_equal(dec.eig.vectors, ref.eig.vectors)
         indices = range(1, dec.d + 1)
