@@ -65,10 +65,8 @@ def _parse_window(text: str) -> int | None:
 
 
 def _parse_grouping(text: str) -> tuple[str, int | None]:
-    if text == "periodogram":
-        return "periodogram", None
-    if text == "oos":
-        return "oos", None
+    if text in ("periodogram", "oos"):
+        return text, None
     if text.startswith("fixed:"):
         raw = text[len("fixed:") :]
         try:
@@ -104,12 +102,6 @@ def _load_input(path: str) -> list[IntervalSeries]:
             f"input has {len(series[0])} rows; need at least {MIN_INPUT_ROWS}"
         )
     return series
-
-
-def _stack_mode(args, n_series: int) -> StackingMode:
-    if n_series == 1:
-        return StackingMode.UNIVARIATE
-    return StackingMode(args.stack)
 
 
 def _out_stem(out: str) -> str:
@@ -185,9 +177,23 @@ def _fit(args, series, oos: bool = False):
             rank_eps=args.rank_eps,
         )
         window = search.window
-    mode = _stack_mode(args, len(series))
+    mode = StackingMode.UNIVARIATE if len(series) == 1 else StackingMode(args.stack)
     dec = decompose_stacked(series, window, mode=mode, rank_eps=args.rank_eps)
     return dec, search
+
+
+def _group_size(args, kind, fixed_m, dec, oos, y, series_index=1):
+    """m of one series under --grouping, and the selection document (None
+    unless the periodogram scan picked m)."""
+    if kind == "periodogram":
+        sel = select_from_decomposition(
+            dec, y, series_index=series_index, alpha=args.alpha, max_m=args.max_m
+        )
+        return sel.m, _selection_doc(sel)
+    if kind == "fixed":
+        Grouping.leading(fixed_m).validate(dec.d)
+        return fixed_m, None
+    return oos.m, None
 
 
 def cmd_decompose(args) -> None:
@@ -197,18 +203,7 @@ def cmd_decompose(args) -> None:
     dec, oos = _fit(args, series, kind == "oos")
     per_series = []
     for idx, raw in enumerate(series, start=1):
-        sel_doc = None
-        if kind == "periodogram":
-            sel = select_from_decomposition(
-                dec, raw, series_index=idx, alpha=args.alpha, max_m=args.max_m
-            )
-            m = sel.m
-            sel_doc = _selection_doc(sel)
-        elif kind == "fixed":
-            Grouping.leading(fixed_m).validate(dec.d)
-            m = fixed_m
-        else:
-            m = oos.m
+        m, sel_doc = _group_size(args, kind, fixed_m, dec, oos, raw, idx)
         components, ta, tb = _series_channels(dec, m, idx)
         tlo, thi = phi_arrays(ta, tb)
         res_a = raw.lo - ta
@@ -276,17 +271,9 @@ def cmd_select(args) -> None:
     per_series = []
     rows = []
     for idx, raw in enumerate(series, start=1):
-        sel = select_from_decomposition(
-            dec,
-            raw,
-            series_index=idx,
-            alpha=args.alpha,
-            max_m=args.max_m,
-        )
-        rec = {"index": idx}
-        rec.update(_selection_doc(sel))
-        per_series.append(rec)
-        rows.append([idx, sel.m, sel.converged, sel.critical_value])
+        m, sel_doc = _group_size(args, "periodogram", None, dec, None, raw, idx)
+        per_series.append({"index": idx, **sel_doc})
+        rows.append([idx, m, sel_doc["converged"], sel_doc["critical_value"]])
     doc = {
         "command": "select",
         "version": __version__,
@@ -316,15 +303,7 @@ def cmd_forecast(args) -> None:
     n = len(y)
     kind, fixed_m = _parse_grouping(args.grouping)
     dec, oos = _fit(args, series, kind == "oos")
-    sel_doc = None
-    if kind == "periodogram":
-        sel = select_from_decomposition(dec, y, alpha=args.alpha, max_m=args.max_m)
-        m = sel.m
-        sel_doc = _selection_doc(sel)
-    elif kind == "fixed":
-        m = fixed_m
-    else:
-        m = oos.m
+    m, sel_doc = _group_size(args, kind, fixed_m, dec, oos, y)
     grouping = Grouping.leading(m)
     grouping.validate(dec.d)
     coef = recurrence_coefficients(dec.eig, grouping)
@@ -479,12 +458,9 @@ def cmd_mc(args) -> None:
         [r.scenario, r.n, r.method, r.series, r.rep, r.seed, r.m, r.converged]
         for r in report.selection_rows
     ]
-    summary_rows = []
-    summary_header = None
-    for rec in doc["hr_summary"]:
-        if summary_header is None:
-            summary_header = list(rec.keys())
-        summary_rows.append([rec[k] for k in summary_header])
+    # every summary record has the same keys, in the same order
+    summary_header = list(doc["hr_summary"][0]) if doc["hr_summary"] else []
+    summary_rows = [list(rec.values()) for rec in doc["hr_summary"]]
     mode_rows = [
         [
             rec["scenario"],
@@ -507,7 +483,7 @@ def cmd_mc(args) -> None:
             ["scenario", "n", "method", "series", "rep", "seed", "m", "converged"],
             sel_rows,
         ),
-        ("hr_summary", summary_header or [], summary_rows),
+        ("hr_summary", summary_header, summary_rows),
         (
             "selection_summary",
             ["scenario", "n", "method", "series", "mode", "histogram"],
@@ -536,6 +512,19 @@ def _add_rank_eps(sub) -> None:
     )
 
 
+def _add_fit_options(sub, stack: bool, grouping: bool) -> None:
+    """Options of the commands that fit one decomposition and scan it:
+    decompose, select and forecast."""
+    sub.add_argument("--input", required=True)
+    sub.add_argument("--window", default="auto")
+    if stack:
+        sub.add_argument("--stack", choices=("vertical", "horizontal"), default="vertical")
+    if grouping:
+        sub.add_argument("--grouping", default="periodogram")
+    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--max-m", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ivssa", description=__doc__)
     parser.add_argument(
@@ -544,33 +533,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("decompose", help="decompose into interval components")
-    p.add_argument("--input", required=True)
-    p.add_argument("--window", default="auto")
-    p.add_argument("--stack", choices=("vertical", "horizontal"), default="vertical")
-    p.add_argument("--grouping", default="periodogram")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-m", type=int, default=None)
+    _add_fit_options(p, stack=True, grouping=True)
     p.add_argument("--horizon", type=int, default=12, help="oos grouping horizon")
     _add_rank_eps(p)
     _add_common_out(p)
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("select", help="pick the component count by whiteness")
-    p.add_argument("--input", required=True)
-    p.add_argument("--window", default="auto")
-    p.add_argument("--stack", choices=("vertical", "horizontal"), default="vertical")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-m", type=int, default=None)
+    _add_fit_options(p, stack=True, grouping=False)
     _add_rank_eps(p)
     _add_common_out(p)
     p.set_defaults(func=cmd_select)
 
     p = subs.add_parser("forecast", help="recurrent out-of-sample forecast")
-    p.add_argument("--input", required=True)
-    p.add_argument("--window", default="auto")
-    p.add_argument("--grouping", default="periodogram")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-m", type=int, default=None)
+    _add_fit_options(p, stack=False, grouping=True)
     p.add_argument("--horizon", type=int, default=12)
     _add_rank_eps(p)
     _add_common_out(p)

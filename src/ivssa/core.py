@@ -1,9 +1,9 @@
 """Interval series, the trajectory pair matrix, and library errors.
 
-Intermediate arrays in the pipeline hold endpoint *pairs* (a, b) with no
-ordering constraint; only at emission are pairs mapped back to valid
-intervals through ``phi_arrays``.  The mid and radius channels of those pairs
-(``symbolic_channels``) carry all the covariance arithmetic.
+A fit works on the real channels of a series, mid and radius/sqrt(3)
+(``symbolic_channels``).  Reconstructed components return to endpoint
+*pairs* (a, b) with no ordering constraint through ``channel_endpoints``;
+only at emission are pairs mapped to valid intervals by ``phi_arrays``.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def symbolic_channels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     (2 a a' + a b' + b a' + 2 b b')/6 = C C' + R R'/3.
     """
     return 0.5 * (a + b), (b - a) * (0.5 / np.sqrt(3.0))
+
+
+def channel_endpoints(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (a, b) of the channels c (mid) and r (radius/sqrt(3)):
+    the inverse of ``symbolic_channels``, a = c - sqrt(3) r, b = c + sqrt(3) r."""
+    h = np.sqrt(3.0) * r
+    return c - h, c + h
 
 
 @dataclass(frozen=True, eq=False)

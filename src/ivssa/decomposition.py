@@ -4,10 +4,12 @@ The covariance of two pair matrices weighs the endpoint cross-products
 2:1:1:2 (the symbolic-data covariance, kept up to its printed constant).
 In the real channels of ``symbolic_channels``, mid C and radius R, that is
 S = C C' + R R'/3 = Z Z' with Z = [C, R/sqrt(3)], so interval SSA is real
-two-channel SSA.  A fit keeps each eigenvector u_i of S with the
-projections w_i = u_i' A, u_i' B of the trajectory grids; component i is
-the rank-one pair u_i w_i', never formed as a matrix, and
-``Decomposition.component_channels`` diagonal-averages it directly.
+two-channel SSA.  Every fit, univariate or stacked, takes Z from
+``embedding._embed`` over the channel series and keeps each eigenvector
+u_i of S with its projection u_i' Z, mid part then radius part.
+Component i is the rank-one matrix u_i (u_i' Z), never formed;
+``Decomposition.component_channels`` diagonal-averages its mid and radius
+parts and maps them back to endpoints (``channel_endpoints``).
 
 A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
 eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
@@ -15,9 +17,7 @@ fit computes only what is read (``_eigen_pairs``): block subspace
 iteration with Rayleigh-Ritz finds the leading eigenvectors up to a clear
 spectral gap, one Cholesky factorisation proves the rank d, and the
 eigenvalues, the eigenvectors past the gap and their projections are
-computed on first read.  A univariate fit forms Z from windows of the
-channel series instead of the channels of the trajectory grids; S has the
-same bits either way.
+computed on first read.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .core import (
     PairMatrix,
     ParameterError,
     ShapeError,
+    channel_endpoints,
     symbolic_channels,
 )
-from .embedding import StackingMode, default_window, stack, trajectory_columns
+from .embedding import StackingMode, _embed, default_window, stack
 
 #: Relative eigenvalue cutoff separating genuine rank from round-off.
 DEFAULT_RANK_EPS = 1e-10
@@ -67,11 +68,6 @@ _PROJECTION_BLOCK = 32
 _ANGLE_TOL = 1e-13
 
 
-def _channel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Z = [C, R/sqrt(3)]: each row of the grids a, b as its two channels side by side."""
-    return np.hstack(symbolic_channels(a, b))
-
-
 def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
     """Cross-covariance block between the rows of two pair matrices.
 
@@ -82,7 +78,7 @@ def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
         raise ShapeError(
             f"cross-covariance needs equal column counts, got {x.n_cols} and {y.n_cols}"
         )
-    return _channel_matrix(x.a, x.b) @ _channel_matrix(y.a, y.b).T
+    return np.hstack(symbolic_channels(x.a, x.b)) @ np.hstack(symbolic_channels(y.a, y.b)).T
 
 
 def _symmetric_product(z: np.ndarray) -> np.ndarray:
@@ -98,14 +94,10 @@ def _symmetric_product(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S = Z Z' of the trajectory grids a and b (see ``_symmetric_product``)."""
-    return _symmetric_product(_channel_matrix(a, b))
-
-
 def symbolic_covariance(y: PairMatrix) -> np.ndarray:
-    """Symbolic covariance matrix S = Z Z' of a pair matrix (see ``_gram``)."""
-    return _gram(y.a, y.b)
+    """Symbolic covariance matrix S = Z Z' of a pair matrix, Z = [C, R/sqrt(3)]
+    of its grids (see ``_symmetric_product``)."""
+    return _symmetric_product(np.hstack(symbolic_channels(y.a, y.b)))
 
 
 def stacked_covariance(
@@ -340,11 +332,24 @@ def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
     return eigen_sym(s, rank_eps)
 
 
-def _averaged(u: np.ndarray, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The last len(counts) antidiagonal means of the rank-one matrix u w':
-    the full convolution of u with w, divided by the antidiagonal lengths
-    ``counts``.  Every trendline and trendline tail averages through here."""
-    return np.convolve(u, w)[-counts.size :] / counts
+def _averaged(
+    u: Sequence[np.ndarray],
+    mid: Sequence[np.ndarray],
+    radius: Sequence[np.ndarray],
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint channels (a, b), (len(u), len(counts)) each, of the last
+    len(counts) antidiagonal means of the rank-one components u_i [mid_i,
+    radius_i]'.  Each channel is the full convolution of u_i with its
+    projection row divided by the antidiagonal lengths ``counts``, and
+    ``channel_endpoints`` maps the two to endpoints.  Every trendline and
+    trendline tail averages through here."""
+    c = np.empty((len(u), counts.size))
+    r = np.empty_like(c)
+    for i, ui in enumerate(u):
+        c[i] = np.convolve(ui, mid[i])[-counts.size :]
+        r[i] = np.convolve(ui, radius[i])[-counts.size :]
+    return channel_endpoints(c / counts, r / counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,10 +358,11 @@ class Decomposition:
 
     ``window`` is the per-series window l; for vertical stacking the
     trajectory matrix has window * n_series rows.  ``_w`` keeps the
-    projections u_i' A and u_i' B of the trajectory grids, one row per
-    component, by the first component of each block that ``_projections``
-    computed.  The grids ``_a`` and ``_b`` are kept only while components
-    remain to be projected, which is when ``eig`` holds part of a solve.
+    projections u_i' Z of the channel matrix Z (``embedding._embed``), one
+    row per component, by the first component of each block that
+    ``_projections`` computed.  Z itself (``_z``) is kept only while
+    components remain to be projected, which is when ``eig`` holds part of
+    a solve.
     """
 
     mode: StackingMode
@@ -365,8 +371,7 @@ class Decomposition:
     n_series: int
     series_length: int
     eig: EigenPairs
-    _a: np.ndarray | None
-    _b: np.ndarray | None
+    _z: np.ndarray | None
     _w: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -388,9 +393,9 @@ class Decomposition:
         return slice(None), slice(None)
 
     def _projections(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows u_i' A and u_i' B of the 0-based component i.
+        """Mid and radius parts of the row u_i' Z of the 0-based component i.
 
-        They are computed a block at a time, with one product per grid: the
+        Rows are computed a block at a time, with one product u' Z: the
         components whose eigenvectors are known without a further solve,
         then consecutive blocks of _PROJECTION_BLOCK components past them,
         up to d.  So a row has the same bits whatever was read before it."""
@@ -398,14 +403,11 @@ class Decomposition:
         start = 0 if i < j else i - (i - j) % _PROJECTION_BLOCK
         stop = min(j if i < j else start + _PROJECTION_BLOCK, self.d)
         if start not in self._w:
-            u = self.eig.leading(stop)[:, start:]
-            wa = u.T @ self._a
-            wb = u.T @ self._b
-            wa.flags.writeable = False
-            wb.flags.writeable = False
-            self._w[start] = (wa, wb)
-        wa, wb = self._w[start]
-        return wa[i - start], wb[i - start]
+            w = self.eig.leading(stop)[:, start:].T @ self._z
+            w.flags.writeable = False
+            self._w[start] = w
+        w = self._w[start][i - start]
+        return w[: w.size // 2], w[w.size // 2 :]
 
     def component_channels(
         self, indices: Sequence[int], series_index: int = 1
@@ -414,85 +416,59 @@ class Decomposition:
         ``phi_arrays``.
 
         Row r of each (len(indices), n) array belongs to the 1-based component
-        i = indices[r]: the antidiagonal means of u_i w_i' over the series'
-        block, which for a rank-one matrix are the full convolution of u_i
-        with w_i divided by the antidiagonal lengths.  Prefix sums of the rows
-        (``np.cumsum(axis=0)``) give grouped trendlines.
+        i = indices[r]: the antidiagonal means of u_i (u_i' Z) over the
+        series' block, channel by channel (``_averaged``).  Prefix sums of the
+        rows (``np.cumsum(axis=0)``) give grouped trendlines.
         """
         rows, cols = self.series_block(series_index)
         n = self.series_length
         t = np.arange(n)
         counts = np.minimum(np.minimum(t + 1, n - t), min(self.window, self.k))
-        ca = np.empty((len(indices), n))
-        cb = np.empty((len(indices), n))
-        for r, i in enumerate(indices):
+        u, mid, radius = [], [], []
+        for i in indices:
             if not 1 <= i <= self.d:
                 raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
-            u = self.eig.leading(i)[rows, i - 1]
-            wa, wb = self._projections(i - 1)
-            ca[r] = _averaged(u, wa[cols], counts)
-            cb[r] = _averaged(u, wb[cols], counts)
-        return ca, cb
+            u.append(self.eig.leading(i)[rows, i - 1])
+            wc, wr = self._projections(i - 1)
+            mid.append(wc[cols])
+            radius.append(wr[cols])
+        return _averaged(u, mid, radius, counts)
 
 
 def _build(
-    a: np.ndarray,
-    b: np.ndarray,
-    s: np.ndarray,
-    mode: StackingMode,
-    window: int,
-    n_series: int,
-    series_length: int,
-    rank_eps: float,
+    series: Sequence[IntervalSeries], window: int, mode: StackingMode, rank_eps: float
 ) -> Decomposition:
-    """The one fit: eigenpairs of S = ``_gram(a, b)`` (``_eigen_pairs``),
-    and the projections of a and b on the eigenvectors known so far."""
-    eig = _eigen_pairs(s, rank_eps)
-    if eig.d == 0 and (a.any() or b.any()):
+    """The one fit: Z of the series' channels (``_embed``), the eigenpairs of
+    S = Z Z' (``_eigen_pairs``), and the projections u' Z on the
+    eigenvectors known so far."""
+    z = _embed([symbolic_channels(y.lo, y.hi) for y in series], window, mode)
+    eig = _eigen_pairs(_symmetric_product(z), rank_eps)
+    if eig.d == 0 and any(y.lo.any() or y.hi.any() for y in series):
         raise InvalidValueError(_UNDERFLOW)
+    n = len(series[0])
     dec = Decomposition(
         mode=mode,
         window=window,
-        k=series_length - window + 1,
-        n_series=n_series,
-        series_length=series_length,
+        k=n - window + 1,
+        n_series=len(series),
+        series_length=n,
         eig=eig,
-        _a=a,
-        _b=b,
+        _z=z,
     )
     if dec.d:
         dec._projections(0)
     if eig._s is None:  # a complete solve: every component is projected
-        _fill(dec, _a=None, _b=None)
+        _fill(dec, _z=None)
     return dec
-
-
-def _windows(v: np.ndarray, window: int, k: int) -> np.ndarray:
-    """(window, k) view of the contiguous series v with entry (i, j) = v[i + j].
-
-    Built on v's buffer rather than with ``as_strided``: a process copying
-    a few thousand ``as_strided`` windows kept about 1 MB more allocated
-    (numpy 2.4)."""
-    return np.ndarray((window, k), v.dtype, v, 0, (v.strides[0],) * 2)
 
 
 def decompose(
     y: IntervalSeries, window: int | None = None, rank_eps: float = DEFAULT_RANK_EPS
 ) -> Decomposition:
-    """Univariate decomposition: embed, build S, eigendecompose.
-
-    The grids are copies of windows of the already validated series, and Z
-    is one copy of windows of its channel series: the bits of
-    ``trajectory`` and ``symbolic_covariance``, without re-validating
-    values the series has already checked."""
+    """Univariate decomposition: embed, build S, eigendecompose."""
     if window is None:
         window = default_window(len(y))
-    window = int(window)
-    k = trajectory_columns(len(y), window)
-    a, b = (_windows(v, window, k).copy() for v in (y.lo, y.hi))
-    c, r = symbolic_channels(y.lo, y.hi)
-    s = _symmetric_product(np.hstack((_windows(c, window, k), _windows(r, window, k))))
-    return _build(a, b, s, StackingMode.UNIVARIATE, window, 1, len(y), rank_eps)
+    return _build([y], int(window), StackingMode.UNIVARIATE, rank_eps)
 
 
 def decompose_stacked(
@@ -509,10 +485,6 @@ def decompose_stacked(
         return decompose(series[0], window=window, rank_eps=rank_eps)
     if mode is StackingMode.UNIVARIATE:
         raise ParameterError("univariate mode is only valid for a single series")
-    n = len(series[0])
     if window is None:
-        window = default_window(n, len(series), mode)
-    mat = stack(series, window, mode)
-    return _build(
-        mat.a, mat.b, symbolic_covariance(mat), mode, int(window), len(series), n, rank_eps
-    )
+        window = default_window(len(series[0]), len(series), mode)
+    return _build(series, int(window), mode, rank_eps)

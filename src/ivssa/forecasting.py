@@ -3,13 +3,14 @@
 One stepper, ``_run_recurrence``, advances many recurrences at once;
 ``forecast_recurrent`` is its one-row call.  The grid search runs one task
 per window l, in order, in this process, and fits the window's prefixes
-y[:w] in batches of at most 8 MB of covariance: S = ``_gram`` of each
-prefix's trajectory grids, then one checked ``eigh`` of the batch's
-stacked S.  The recurrence weights of every m are prefix sums over the
-eigenvector columns, taken for all fits of a batch at once, and so are the
-failure reasons and the forecasts of its (w, m) rows.  Per fit, only
-the components a forecast uses are diagonal-averaged, and only the last
-l-1 trendline values are kept.
+y[:w] in batches of at most 8 MB of covariance: S = Z Z' of each prefix's
+channel matrix Z (``embedding._embed`` over prefixes of the channel
+series), then one checked ``eigh`` of the batch's stacked S.  The
+recurrence weights of every m are prefix sums over the eigenvector
+columns, taken for all fits of a batch at once, and so are the failure
+reasons and the forecasts of its (w, m) rows.  Per fit, only the
+components a forecast uses are diagonal-averaged, and only the last l-1
+trendline values are kept.
 Every step uses the operations of ``decompose``, ``trendline`` and
 ``recurrence_coefficients`` (which shares the prefix sums), so the grid
 search forecasts from the same bits as a per-prefix fit would.
@@ -28,8 +29,16 @@ from .core import (
     ParameterError,
     VerticalityError,
     phi_arrays,
+    symbolic_channels,
 )
-from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _averaged, _checked_eigh, _gram
+from .decomposition import (
+    DEFAULT_RANK_EPS,
+    EigenPairs,
+    _averaged,
+    _checked_eigh,
+    _symmetric_product,
+)
+from .embedding import StackingMode, _embed
 from .parallel import run_tasks
 from .reconstruction import Grouping
 
@@ -182,16 +191,9 @@ class OosResult:
     n_windows: int
 
 
-def _prefix_grids(y_lo: np.ndarray, y_hi: np.ndarray, window: int, w: int):
-    """Trajectory grids of the prefix y[:w], laid out as ``trajectory``
-    builds them."""
-    idx = np.arange(window)[:, None] + np.arange(w - window + 1)[None, :]
-    return y_lo[idx], y_hi[idx]
-
-
 def _trend_tails(
-    y_lo: np.ndarray,
-    y_hi: np.ndarray,
+    c: np.ndarray,
+    r: np.ndarray,
     fits: np.ndarray,
     vectors: np.ndarray,
     d: np.ndarray,
@@ -199,9 +201,10 @@ def _trend_tails(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(fits, max(top), l-1) channels of the last l-1 trendline values of
     every fit y[:w] and leading group size, phi-ordered: [f, m-1] sums fit
-    f's first m components, for m up to top[f].
+    f's first m components, for m up to top[f].  c and r are the channel
+    series of y (``symbolic_channels``).
 
-    Fit f projects its trajectory grids on its d[f] leading eigenvectors, as
+    Fit f projects the Z of its prefix on its d[f] leading eigenvectors, as
     ``decompose`` does, and averages each component with ``_averaged``, the
     kernel of ``Decomposition.component_channels``; the component-order
     prefix sum is that of ``trendline``.  So the tails are bitwise those of
@@ -210,30 +213,32 @@ def _trend_tails(
     _, l, _ = vectors.shape
     tails = np.zeros((2, len(fits), top.max(), l - 1))
     for f, w in enumerate(fits):
+        m = top[f]
+        if not m:
+            continue
         # a contiguous copy, laid out as ``eigen_sym`` returns it
         ut = vectors[f].copy()[:, : d[f]].T
-        a, b = _prefix_grids(y_lo, y_hi, l, w)
+        proj = ut @ _embed([(c[:w], r[:w])], l, StackingMode.UNIVARIATE)
+        k = w - l + 1
         # antidiagonal lengths of the last l-1 positions
-        counts = np.minimum(np.arange(l - 1, 0, -1), w - l + 1)
-        for row, proj in zip(tails[:, f], (ut @ a, ut @ b)):
-            for i in range(top[f]):
-                row[i] = _averaged(ut[i], proj[i], counts)
+        counts = np.minimum(np.arange(l - 1, 0, -1), k)
+        tails[:, f, :m] = _averaged(ut[:m], proj[:m, :k], proj[:m, k:], counts)
     return phi_arrays(*np.cumsum(tails, axis=2))
 
 
-def _oos_chunk(y_lo, y_hi, window, fits, ms, p, rank_eps):
+def _oos_chunk(y_lo, y_hi, c, r, window, fits, ms, p, rank_eps):
     """(len(fits), len(ms)) forecast errors of consecutive fits of one
     window, inf where a cell failed, and the failed cells' masks: short of
-    rank (m > d), else vertical (nu^2 ~ 1)."""
+    rank (m > d), else vertical (nu^2 ~ 1).  c and r are the channel series."""
     s = np.empty((len(fits), window, window))
     for f, w in enumerate(fits):
-        s[f] = _gram(*_prefix_grids(y_lo, y_hi, window, w))
+        s[f] = _symmetric_product(_embed([(c[:w], r[:w])], window, StackingMode.UNIVARIATE))
     nonzero = np.logical_or.accumulate((y_lo != 0) | (y_hi != 0))[fits - 1]
     _, vectors, d = _checked_eigh(s, rank_eps, nonzero)
     del s  # as large as the eigenvectors, and no longer needed
-    r = min(ms.max(), window)
-    pp, nu2 = _prefix_weights(vectors[:, :, :r])
-    col = np.minimum(ms, r) - 1
+    r_top = min(ms.max(), window)
+    pp, nu2 = _prefix_weights(vectors[:, :, :r_top])
+    col = np.minimum(ms, r_top) - 1
     rank = ms > d[:, None]
     vertical = ~rank & (nu2[:, col] >= 1.0 - VERTICALITY_TOL)
     failed = rank | vertical
@@ -241,7 +246,7 @@ def _oos_chunk(y_lo, y_hi, window, fits, ms, p, rank_eps):
     fit_at, m_at = np.nonzero(~failed)
     if fit_at.size:
         top = np.where(failed, 0, ms).max(axis=1)
-        trend_lo, trend_hi = _trend_tails(y_lo, y_hi, fits, vectors, d, top)
+        trend_lo, trend_hi = _trend_tails(c, r, fits, vectors, d, top)
         c_at = col[m_at]
         lo, hi = _run_recurrence(
             _alpha(pp[fit_at, :, c_at], nu2[fit_at, c_at]),
@@ -261,7 +266,8 @@ def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
     """(len(fits), len(m_grid)) forecast errors of one window (inf where the
     fit failed) and the first failure reason of each failed m.
 
-    Each fit y[:w] costs one Gram product and the diagonal averaging of the
+    Each fit y[:w] costs one embedding and Gram product, and one more
+    embedding for the projections and the diagonal averaging of the
     components it forecasts with; the eigensolve, the recurrence weights of
     every m, the failure reasons and the forecasts run on stacked arrays,
     once per chunk of at most _CHUNK_BYTES of covariance matrices.  A
@@ -270,9 +276,10 @@ def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
     y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
     fits = np.asarray(fits)
     ms = np.asarray(m_grid)
+    c, r = symbolic_channels(y_lo, y_hi)
     size = max(1, _CHUNK_BYTES // (8 * window * window))
     chunks = [
-        _oos_chunk(y_lo, y_hi, window, fits[i : i + size], ms, p, rank_eps)
+        _oos_chunk(y_lo, y_hi, c, r, window, fits[i : i + size], ms, p, rank_eps)
         for i in range(0, len(fits), size)
     ]
     errors, rank, vertical = (np.concatenate(part) for part in zip(*chunks))

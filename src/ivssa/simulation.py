@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -222,6 +223,20 @@ def _mc_replication(args) -> tuple[list[McRow], list[McSelectionRow]]:
     return rows, selections
 
 
+def _mode(hist: dict[int, int]) -> int | None:
+    """Most frequent m of a histogram, ties to smaller m; None when empty."""
+    return min(hist, key=lambda m: (-hist[m], m)) if hist else None
+
+
+def _distinct(name: str, values: tuple) -> None:
+    """Raise unless values is nonempty and has no repeats: a repeat would
+    duplicate every summary record of its cells."""
+    if not values:
+        raise ParameterError(f"{name} must not be empty")
+    if len(set(values)) != len(values):
+        raise ParameterError(f"{name} must not repeat, got {values}")
+
+
 def _hr_stats(values: np.ndarray) -> dict[str, float | None]:
     """Mean, sd and quartiles of one cell's HRs; all None when it has none."""
     if not values.size:
@@ -255,7 +270,9 @@ class McReport:
         self, scenario: str, n: int, method: str, m: int, series: str = "x"
     ) -> np.ndarray:
         """Successful per-replication HR values for one cell."""
-        key = (scenario, n, method, m, "x" if series == "x" else "y")
+        if series not in ("x", "y"):
+            raise ParameterError(f"series must be 'x' or 'y', got {series!r}")
+        key = (scenario, n, method, m, series)
         return np.asarray(self._hr_cells.get(key, []), dtype=float)
 
     @cached_property
@@ -286,73 +303,53 @@ class McReport:
             raise ParameterError("no successful replications for this cell")
         return min(finite)[1]
 
+    @cached_property
+    def _selection_cells(self) -> dict[tuple, dict[int, int]]:
+        """Counts of each selected m by (scenario, n, method, series), in
+        ascending m; failed selections are left out."""
+        cells: dict[tuple, dict[int, int]] = {}
+        for r in self.selection_rows:
+            if r.m is not None:
+                hist = cells.setdefault((r.scenario, r.n, r.method, r.series), {})
+                hist[r.m] = hist.get(r.m, 0) + 1
+        return {key: dict(sorted(hist.items())) for key, hist in cells.items()}
+
     def selection_histogram(
         self, scenario: str, n: int, method: str, series: str = "x"
     ) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for r in self.selection_rows:
-            if (
-                r.scenario == scenario
-                and r.n == n
-                and r.method == method
-                and r.series == series
-                and r.m is not None
-            ):
-                hist[r.m] = hist.get(r.m, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(self._selection_cells.get((scenario, n, method, series), {}))
 
     def selection_mode(
         self, scenario: str, n: int, method: str, series: str = "x"
     ) -> int:
         """Most frequent selected m (ties to smaller m)."""
-        hist = self.selection_histogram(scenario, n, method, series)
-        if not hist:
+        mode = _mode(self.selection_histogram(scenario, n, method, series))
+        if mode is None:
             raise ParameterError("no selection outcomes for this cell")
-        return min(hist, key=lambda m: (-hist[m], m))
+        return mode
 
     def hr_summary(self) -> list[dict]:
         """One summary record per (scenario, n, method, m) cell.  Every
         record has the same keys; the statistics of a cell with no HR are
         None."""
         out = []
-        for scenario in self.scenarios:
-            for n in self.n_list:
-                for method in self.methods:
-                    for m in self.m_list:
-                        rec: dict = {
-                            "scenario": scenario,
-                            "n": n,
-                            "method": method,
-                            "m": m,
-                        }
-                        for series in ("x", "y"):
-                            vals = self.hr_values(scenario, n, method, m, series)
-                            key = f"hr_{series}"
-                            for stat, v in _hr_stats(vals).items():
-                                rec[f"{key}_{stat}"] = v
-                            rec[f"{key}_failed"] = self.reps - int(vals.size)
-                        out.append(rec)
+        for cell in product(self.scenarios, self.n_list, self.methods, self.m_list):
+            rec: dict = dict(zip(("scenario", "n", "method", "m"), cell))
+            for series in ("x", "y"):
+                vals = self.hr_values(*cell, series)
+                for stat, v in _hr_stats(vals).items():
+                    rec[f"hr_{series}_{stat}"] = v
+                rec[f"hr_{series}_failed"] = self.reps - int(vals.size)
+            out.append(rec)
         return out
 
     def selection_summary(self) -> list[dict]:
         """Histogram and mode of selected m per (scenario, n, method, series)."""
         out = []
-        for scenario in self.scenarios:
-            for n in self.n_list:
-                for method in self.methods:
-                    for series in ("x", "y"):
-                        hist = self.selection_histogram(scenario, n, method, series)
-                        rec = {
-                            "scenario": scenario,
-                            "n": n,
-                            "method": method,
-                            "series": series,
-                            "histogram": hist,
-                            "mode": min(hist, key=lambda m: (-hist[m], m))
-                            if hist
-                            else None,
-                        }
-                        out.append(rec)
+        for cell in product(self.scenarios, self.n_list, self.methods, ("x", "y")):
+            hist = self.selection_histogram(*cell)
+            rec = dict(zip(("scenario", "n", "method", "series"), cell))
+            out.append({**rec, "histogram": hist, "mode": _mode(hist)})
         return out
 
     def to_dict(self) -> dict:
@@ -393,6 +390,7 @@ def run_monte_carlo(
     if isinstance(scenarios, str):
         scenarios = (scenarios,)
     scenarios = tuple(s.strip().upper() for s in scenarios)
+    _distinct("scenarios", scenarios)
     for s in scenarios:
         if s not in ("A", "B"):
             raise ParameterError(f"unknown scenario {s!r}; expected A or B")
@@ -402,14 +400,14 @@ def run_monte_carlo(
         raise ParameterError(f"max_m must be >= 1, got {max_m}")
     ks_critical_value(alpha)  # raises for alpha outside (0, 1), nan included
     methods = tuple(methods)
-    if len(set(methods)) != len(methods):
-        raise ParameterError(f"methods must not repeat, got {methods}")
+    _distinct("methods", methods)
     for method in methods:
         if method not in METHODS:
             raise ParameterError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
     n_list = tuple(int(n) for n in n_list)
+    _distinct("n list", n_list)
     m_list = tuple(sorted(set(int(m) for m in m_list)))
     if not m_list or m_list[0] < 1:
         raise ParameterError(f"m list must contain integers >= 1: {m_list}")

@@ -240,11 +240,9 @@ def oos_objective_loop(y, l_grid, m_grid, w0, p, stride):
 
 def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
     """(len(fits), len(m_grid)) forecast errors of one window (inf where the
-    fit failed) and the first failure reason of each failed m.  Fits are
-    built from the trajectory grids, with no series or pair-matrix object."""
-    from ivssa.core import InvalidValueError, VerticalityError, phi_arrays
-    from ivssa.decomposition import _build, _gram
-    from ivssa.embedding import StackingMode
+    fit failed) and the first failure reason of each failed m.  Each prefix
+    is fitted through the public ``decompose``."""
+    import ivssa
     from ivssa.forecasting import _recurrence, _run_recurrence
 
     y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
@@ -253,20 +251,18 @@ def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
     reasons: dict[int, str] = {}
     rows, alphas, starts = [], [], []
     for i, w in enumerate(fits):
-        idx = np.arange(window)[:, None] + np.arange(w - order)[None, :]
-        a, b = y_lo[idx], y_hi[idx]
-        dec = _build(a, b, _gram(a, b), StackingMode.UNIVARIATE, window, 1, w, rank_eps)
+        dec = ivssa.decompose(ivssa.IntervalSeries(y_lo[:w], y_hi[:w]), window, rank_eps)
         feasible = [m for m in m_grid if m <= dec.d]
         for m in m_grid[len(feasible) :]:
             reasons.setdefault(m, "rank")
         ca, cb = dec.component_channels(range(1, max(feasible, default=0) + 1))
-        trend_lo, trend_hi = phi_arrays(
+        trend_lo, trend_hi = ivssa.phi_arrays(
             np.cumsum(ca[:, -order:], axis=0), np.cumsum(cb[:, -order:], axis=0)
         )
         for j, m in enumerate(feasible):
             try:
                 alpha, _ = _recurrence(dec.eig.vectors[:, :m])
-            except VerticalityError:
+            except ivssa.VerticalityError:
                 reasons.setdefault(m, "vertical")
                 continue
             rows.append((i, j))
@@ -279,19 +275,53 @@ def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
         ahead = np.asarray(fits)[fit_at, None] + np.arange(p)
         err = np.maximum(np.abs(y_lo[ahead] - lo), np.abs(y_hi[ahead] - hi))
         if not np.all(np.isfinite(err)):
-            raise InvalidValueError("a recurrent forecast overflows float64")
+            raise ivssa.InvalidValueError("a recurrent forecast overflows float64")
         errors[fit_at, m_at] = err.sum(axis=1)
     return errors, reasons
 
 
-# the fit as it was before large fits solved only what they read: the
-# (stacked) trajectory grids, symbolic_covariance, the complete eigensolve
-# and the projections on all d eigenvectors, at any window
+# the fit as it was before large fits solved only what they read and before
+# fits worked on channels: the (stacked) trajectory grids, symbolic_covariance,
+# the complete eigensolve, and the endpoint projections u'A and u'B, at any
+# window
+
+
+def antidiagonal_means(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Antidiagonal means of the rank-one matrix u w', from one bincount."""
+    idx = np.add.outer(np.arange(u.size), np.arange(w.size)).ravel()
+    return np.bincount(idx, weights=np.outer(u, w).ravel()) / np.bincount(idx)
+
+
+class FullFit:
+    """The complete-solve fit of ``decompose_full``: ``eig`` and ``d`` as a
+    ``Decomposition`` has them, and ``component_channels`` from the
+    projections u'A and u'B of the stacked trajectory grids."""
+
+    def __init__(self, eig, mat, mode, window: int, n_series: int):
+        u = eig.vectors[:, : eig.d]
+        self.eig, self.d = eig, eig.d
+        self.mode, self.window = mode, window
+        self.k = mat.n_cols // n_series if mode.value == "horizontal" else mat.n_cols
+        self.wa, self.wb = u.T @ mat.a, u.T @ mat.b
+
+    def component_channels(self, indices, series_index: int = 1):
+        s = series_index - 1
+        rows, cols = slice(None), slice(None)
+        if self.mode.value == "vertical":
+            rows = slice(s * self.window, (s + 1) * self.window)
+        elif self.mode.value == "horizontal":
+            cols = slice(s * self.k, (s + 1) * self.k)
+        ca, cb = [], []
+        for i in indices:
+            u = self.eig.vectors[rows, i - 1]
+            ca.append(antidiagonal_means(u, self.wa[i - 1, cols]))
+            cb.append(antidiagonal_means(u, self.wb[i - 1, cols]))
+        return np.array(ca), np.array(cb)
 
 
 def decompose_full(
     y, window: int | None = None, rank_eps: float | None = None, mode=None
-):
+) -> FullFit:
     """``decompose`` of the series y, or with a stacking ``mode``
     ``decompose_stacked`` of the list of series y, through ``eigen_sym``'s
     complete solve at any window."""
@@ -299,7 +329,6 @@ def decompose_full(
     from ivssa.decomposition import (
         _UNDERFLOW,
         DEFAULT_RANK_EPS,
-        Decomposition,
         eigen_sym,
         symbolic_covariance,
     )
@@ -314,18 +343,7 @@ def decompose_full(
     eig = eigen_sym(symbolic_covariance(mat), rank_eps)
     if eig.d == 0 and (mat.a.any() or mat.b.any()):
         raise InvalidValueError(_UNDERFLOW)
-    u = eig.vectors[:, : eig.d]
-    return Decomposition(
-        mode=mode,
-        window=window,
-        k=n - window + 1,
-        n_series=len(series),
-        series_length=n,
-        eig=eig,
-        _a=None,
-        _b=None,
-        _w={0: (u.T @ mat.a, u.T @ mat.b)},
-    )
+    return FullFit(eig, mat, mode, window, len(series))
 
 
 # the per-value JSON emitter, one recursive call and one format per float
@@ -422,4 +440,29 @@ def hr_summary_loop(report) -> list[dict]:
                             rec[f"{key}_{stat}"] = v
                         rec[f"{key}_failed"] = report.reps - int(vals.size)
                     out.append(rec)
+    return out
+
+
+# the selection summary as it was before the rows were indexed: one scan of
+# every selection row per cell
+
+
+def selection_summary_loop(report) -> list[dict]:
+    out = []
+    for scenario in report.scenarios:
+        for n in report.n_list:
+            for method in report.methods:
+                for series in ("x", "y"):
+                    hist: dict[int, int] = {}
+                    for r in report.selection_rows:
+                        if (r.scenario, r.n, r.method, r.series) == (
+                            scenario, n, method, series
+                        ) and r.m is not None:
+                            hist[r.m] = hist.get(r.m, 0) + 1
+                    hist = dict(sorted(hist.items()))
+                    mode = min(hist, key=lambda m: (-hist[m], m)) if hist else None
+                    out.append(
+                        {"scenario": scenario, "n": n, "method": method,
+                         "series": series, "histogram": hist, "mode": mode}
+                    )
     return out

@@ -486,11 +486,13 @@ class TestLargeFits:
         window = _LAZY_ROWS - 1
         dec, ref = decompose(y, window), decompose_full(y, window)
         assert dec.eig._s is None and dec.d == ref.d
-        assert dec._a is None and dec._b is None  # every component is projected
+        assert dec._z is None  # every component is projected
         assert np.array_equal(dec.eig.values, ref.eig.values)
         assert np.array_equal(dec.eig.vectors, ref.eig.vectors)
+        # the fit reconstructs from channels, the oracle from endpoint
+        # projections: the components agree within rounding, not bitwise
         indices = range(1, dec.d + 1)
         for got, want in zip(dec.component_channels(indices), ref.component_channels(indices)):
-            assert np.array_equal(got, want)
+            assert rel_rows(got, want) <= 1e-10
         got = recurrence_coefficients(dec.eig, Grouping.leading(5)).alpha
         assert np.array_equal(got, recurrence_coefficients(ref.eig, Grouping.leading(5)).alpha)

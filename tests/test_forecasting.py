@@ -20,12 +20,13 @@ from ivssa import (
     select_params_oos,
     trendline,
 )
-from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh, _gram
+from ivssa.core import symbolic_channels
+from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh, _symmetric_product
+from ivssa.embedding import StackingMode, _embed
 from ivssa import forecasting
 from ivssa.forecasting import (
     _alpha,
     _oos_window,
-    _prefix_grids,
     _prefix_weights,
     _recurrence,
     _run_recurrence,
@@ -33,6 +34,12 @@ from ivssa.forecasting import (
 )
 from helpers import assert_compares_by_identity, make_rng, structured_series
 from oracles import forecast_loop, oos_objective_loop, oos_window_loop
+
+
+def prefix_covariance(y: IntervalSeries, window: int, w: int) -> np.ndarray:
+    """S of the prefix y[:w], embedded as the grid search embeds it."""
+    c, r = symbolic_channels(y.lo, y.hi)
+    return _symmetric_product(_embed([(c[:w], r[:w])], window, StackingMode.UNIVARIATE))
 
 
 def eigenpairs_from_vectors(vectors: np.ndarray) -> EigenPairs:
@@ -93,7 +100,7 @@ class TestRecurrenceCoefficients:
             assert np.array_equal(alpha, want)
             # ... and so must the batched window's weights of every leading
             # m, read from prefix sums over its stacked eigensolve
-            s = _gram(*_prefix_grids(y.lo, y.hi, 5, w))
+            s = prefix_covariance(y, 5, w)
             _, vectors, _ = _checked_eigh(np.stack([s, s]), DEFAULT_RANK_EPS)
             pp, nu2 = _prefix_weights(vectors[:, :, :5])
             for m in range(1, 5):
@@ -456,10 +463,11 @@ class TestTrendTails:
         # fit lengths from k = 2 < l-1 columns up to k > l-1
         y = structured_series(100, seed=11, noise=0.3)
         fits = np.array([window + 1, window + 2, window + 9, 2 * window, 99])
-        s = np.array([_gram(*_prefix_grids(y.lo, y.hi, window, w)) for w in fits])
+        s = np.array([prefix_covariance(y, window, w) for w in fits])
         _, vectors, d = _checked_eigh(s, DEFAULT_RANK_EPS)
         top = np.minimum(d, 6)
-        trend_lo, trend_hi = _trend_tails(y.lo, y.hi, fits, vectors, d, top)
+        c, r = symbolic_channels(y.lo, y.hi)
+        trend_lo, trend_hi = _trend_tails(c, r, fits, vectors, d, top)
         for f, w in enumerate(fits):
             dec = decompose(IntervalSeries(y.lo[:w], y.hi[:w]), window)
             assert dec.d == d[f]

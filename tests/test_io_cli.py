@@ -693,7 +693,14 @@ class TestCliMc:
         assert len(lines) == 1 + len(keys)
 
     @pytest.mark.parametrize(
-        "flags", [["--alpha", "2"], ["--alpha", "nan"], ["--methods", "ivssa,ivssa"]]
+        "flags",
+        [
+            ["--alpha", "2"],
+            ["--alpha", "nan"],
+            ["--methods", "ivssa,ivssa"],
+            ["--methods", ","],
+            ["--n-list", "40,40"],
+        ],
     )
     def test_bad_study_config(self, tmp_path, flags):
         out = str(tmp_path / "mc.json")

@@ -26,7 +26,12 @@ from ivssa import (
     trendline,
 )
 from helpers import child_env, make_rng, random_series
-from oracles import hausdorff_mean_loop, hr_summary_loop, hr_values_loop
+from oracles import (
+    hausdorff_mean_loop,
+    hr_summary_loop,
+    hr_values_loop,
+    selection_summary_loop,
+)
 
 
 def noise_free(n: int) -> "ScenarioData":
@@ -198,6 +203,7 @@ class TestRunMonteCarlo:
         rep = run_monte_carlo(scenarios="A", n_list=(10,), reps=2, base_seed=3)
         summary = rep.hr_summary()
         assert summary == hr_summary_loop(rep)
+        assert rep.selection_summary() == selection_summary_loop(rep)
         assert any(r["hr_x_failed"] == 2 for r in summary)
         for r in summary:
             for series in ("x", "y"):
@@ -234,6 +240,30 @@ class TestRunMonteCarlo:
                 run_monte_carlo(reps=1, alpha=alpha)
         with pytest.raises(ParameterError, match="repeat"):
             run_monte_carlo(methods=("ivssa", "ivssa"), reps=1)
+
+    # a repeated n or scenario would duplicate every summary record of its
+    # cells and count twice the replications as failed (hr_x_failed = -2 at
+    # reps = 2); an empty list would run an empty study
+
+    def test_repeated_n_rejected(self):
+        with pytest.raises(ParameterError, match="n list must not repeat"):
+            run_monte_carlo(scenarios="A", n_list=(40, 40), reps=2)
+
+    def test_repeated_scenario_rejected(self):
+        with pytest.raises(ParameterError, match="scenarios must not repeat"):
+            run_monte_carlo(scenarios=("A", "a"), n_list=(40,), reps=2)
+
+    def test_empty_methods_rejected(self):
+        with pytest.raises(ParameterError, match="methods must not be empty"):
+            run_monte_carlo(methods=(), reps=1)
+
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(ParameterError, match="n list must not be empty"):
+            run_monte_carlo(n_list=(), reps=1)
+
+    def test_hr_values_unknown_series_rejected(self, small_report):
+        with pytest.raises(ParameterError, match="series must be 'x' or 'y'"):
+            small_report.hr_values("A", 40, "ivssa", 1, series="z")
 
     def test_failed_fit_keeps_selection_rows(self, monkeypatch):
         def failing(series, mode):
