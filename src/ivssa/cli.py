@@ -271,9 +271,11 @@ def cmd_select(args) -> None:
     per_series = []
     rows = []
     for idx, raw in enumerate(series, start=1):
-        m, sel_doc = _group_size(args, "periodogram", None, dec, None, raw, idx)
-        per_series.append({"index": idx, **sel_doc})
-        rows.append([idx, m, sel_doc["converged"], sel_doc["critical_value"]])
+        sel = select_from_decomposition(
+            dec, raw, series_index=idx, alpha=args.alpha, max_m=args.max_m
+        )
+        per_series.append({"index": idx, **_selection_doc(sel)})
+        rows.append([idx, sel.m, sel.converged, sel.critical_value])
     doc = {
         "command": "select",
         "version": __version__,
@@ -305,7 +307,6 @@ def cmd_forecast(args) -> None:
     dec, oos = _fit(args, series, kind == "oos")
     m, sel_doc = _group_size(args, kind, fixed_m, dec, oos, y)
     grouping = Grouping.leading(m)
-    grouping.validate(dec.d)
     coef = recurrence_coefficients(dec.eig, grouping)
     trend = trendline(dec, grouping)[0]
     fc = forecast_recurrent(trend, coef, args.horizon)

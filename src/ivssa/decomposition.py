@@ -23,6 +23,7 @@ computed on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +69,11 @@ _PROJECTION_BLOCK = 32
 _ANGLE_TOL = 1e-13
 
 
+def _pair_channels(y: PairMatrix) -> np.ndarray:
+    """Channel matrix Z = [C, R/sqrt(3)] of a pair matrix's grids."""
+    return np.hstack(symbolic_channels(y.a, y.b))
+
+
 def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
     """Cross-covariance block between the rows of two pair matrices.
 
@@ -78,7 +84,7 @@ def pair_cross_covariance(x: PairMatrix, y: PairMatrix) -> np.ndarray:
         raise ShapeError(
             f"cross-covariance needs equal column counts, got {x.n_cols} and {y.n_cols}"
         )
-    return np.hstack(symbolic_channels(x.a, x.b)) @ np.hstack(symbolic_channels(y.a, y.b)).T
+    return _pair_channels(x) @ _pair_channels(y).T
 
 
 def _symmetric_product(z: np.ndarray) -> np.ndarray:
@@ -97,7 +103,7 @@ def _symmetric_product(z: np.ndarray) -> np.ndarray:
 def symbolic_covariance(y: PairMatrix) -> np.ndarray:
     """Symbolic covariance matrix S = Z Z' of a pair matrix, Z = [C, R/sqrt(3)]
     of its grids (see ``_symmetric_product``)."""
-    return _symmetric_product(np.hstack(symbolic_channels(y.a, y.b)))
+    return _symmetric_product(_pair_channels(y))
 
 
 def stacked_covariance(
@@ -421,9 +427,6 @@ class Decomposition:
         rows (``np.cumsum(axis=0)``) give grouped trendlines.
         """
         rows, cols = self.series_block(series_index)
-        n = self.series_length
-        t = np.arange(n)
-        counts = np.minimum(np.minimum(t + 1, n - t), min(self.window, self.k))
         u, mid, radius = [], [], []
         for i in indices:
             if not 1 <= i <= self.d:
@@ -432,7 +435,15 @@ class Decomposition:
             wc, wr = self._projections(i - 1)
             mid.append(wc[cols])
             radius.append(wr[cols])
-        return _averaged(u, mid, radius, counts)
+        return _averaged(u, mid, radius, self._counts)
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """Antidiagonal lengths of a series' block, one per time index; kept
+        because the periodogram scan reads one component per call."""
+        n = self.series_length
+        t = np.arange(n)
+        return np.minimum(np.minimum(t + 1, n - t), min(self.window, self.k))
 
 
 def _build(

@@ -32,7 +32,9 @@ from helpers import (
     random_series,
     structured_series,
 )
-from ivssa.decomposition import _LAZY_ROWS, DEFAULT_RANK_EPS, _checked_eigh
+from ivssa.core import symbolic_channels
+from ivssa.decomposition import _LAZY_ROWS, DEFAULT_RANK_EPS, _averaged, _checked_eigh
+from ivssa.embedding import _embed
 from ivssa.io import write_series_csv
 from oracles import decompose_full, symbolic_cov_loop, symbolic_cross_cov_loop
 
@@ -489,10 +491,20 @@ class TestLargeFits:
         assert dec._z is None  # every component is projected
         assert np.array_equal(dec.eig.values, ref.eig.values)
         assert np.array_equal(dec.eig.vectors, ref.eig.vectors)
-        # the fit reconstructs from channels, the oracle from endpoint
-        # projections: the components agree within rounding, not bitwise
+        # below the threshold the fit projects every component in one
+        # build-time block, u'Z over all d eigenvectors, as the complete
+        # solve does: with the same channel arithmetic the bits agree
+        u = ref.eig.vectors[:, : ref.d]
+        w = u.T @ _embed([symbolic_channels(y.lo, y.hi)], window, StackingMode.UNIVARIATE)
+        n, k = len(y), w.shape[1] // 2
+        t = np.arange(n)
+        counts = np.minimum(np.minimum(t + 1, n - t), min(window, k))
         indices = range(1, dec.d + 1)
-        for got, want in zip(dec.component_channels(indices), ref.component_channels(indices)):
-            assert rel_rows(got, want) <= 1e-10
+        got = dec.component_channels(indices)
+        want = _averaged(list(u.T), w[:, :k], w[:, k:], counts)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # the oracle reconstructs from the endpoint projections u'A and u'B
+        for channel, oracle in zip(got, ref.component_channels(indices)):
+            assert rel_rows(channel, oracle) <= 1e-10
         got = recurrence_coefficients(dec.eig, Grouping.leading(5)).alpha
         assert np.array_equal(got, recurrence_coefficients(ref.eig, Grouping.leading(5)).alpha)
