@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from ivssa import __version__, run_monte_carlo
+from ivssa import ParameterError, __version__, run_monte_carlo
 from ivssa.io import write_json, write_table_csv
 
 
@@ -53,7 +53,7 @@ def print_cell(report, scenario: str, n: int) -> None:
     for method, series in cols:
         try:
             modes.append(str(report.selection_mode(scenario, n, method, series)))
-        except Exception:
+        except ParameterError:  # no selection outcomes for this cell
             modes.append("-")
     print("mode " + "".join(f"{v:>{width}}" for v in modes))
 
@@ -86,8 +86,8 @@ def main() -> None:
     json_path = f"{args.out}.json"
     write_json(json_path, doc)
 
-    summary = report.hr_summary()
-    header = list(summary[0].keys())
+    summary = doc["hr_summary"]
+    header = list(summary[0])
     csv_path = f"{args.out}.hr_summary.csv"
     write_table_csv(csv_path, header, [[r[k] for k in header] for r in summary])
 

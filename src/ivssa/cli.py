@@ -33,9 +33,10 @@ from .forecasting import (
     recurrence_coefficients,
     select_params_oos,
 )
-from .io import json_dumps, read_csv, write_json, write_table_csv
+from .io import json_dumps, read_csv, series_columns, write_json, write_table_csv
 from .reconstruction import Grouping, trendline
 from .simulation import (
+    GENERATOR,
     METHODS,
     ScenarioConfig,
     run_monte_carlo,
@@ -109,11 +110,12 @@ def _out_stem(out: str) -> str:
     return stem if ext.lower() == ".json" else out
 
 
-def _emit(args, doc, csv_tables, always_csv: bool = False) -> None:
+def _emit(args, doc, tables, always_csv: bool = False) -> None:
     """Write the JSON document and any CSV side tables.
 
-    csv_tables is a list of (suffix, header, rows); files land at
-    <stem>.<suffix>.csv beside the JSON output.
+    tables maps a suffix to a dict of named, equal-length columns taken
+    from the document; each lands at <stem>.<suffix>.csv beside the JSON
+    output, and its rows are zipped only when it is written.
     """
     if args.out is None:
         sys.stdout.write(json_dumps(doc) + "\n")
@@ -121,8 +123,16 @@ def _emit(args, doc, csv_tables, always_csv: bool = False) -> None:
     write_json(args.out, doc)
     if always_csv or args.format == "csv":
         stem = _out_stem(args.out)
-        for suffix, header, rows in csv_tables:
-            write_table_csv(f"{stem}.{suffix}.csv", header, rows)
+        for suffix, cols in tables.items():
+            write_table_csv(f"{stem}.{suffix}.csv", list(cols), zip(*cols.values()))
+
+
+def _record_columns(records, keys=None, **renamed) -> dict:
+    """Columns of a list of dict records: the fields ``keys`` (every field
+    of the first record by default), field f headed ``renamed.get(f, f)``."""
+    if keys is None:
+        keys = list(records[0]) if records else []
+    return {renamed.get(k, k): [r[k] for r in records] for k in keys}
 
 
 def _series_channels(dec, m: int, series_index: int):
@@ -198,7 +208,6 @@ def _group_size(args, kind, fixed_m, dec, oos, y, series_index=1):
 
 def cmd_decompose(args) -> None:
     series = _load_input(args.input)
-    n = len(series[0])
     kind, fixed_m = _parse_grouping(args.grouping)
     dec, oos = _fit(args, series, kind == "oos")
     per_series = []
@@ -240,28 +249,16 @@ def cmd_decompose(args) -> None:
         "oos": None if oos is None else _oos_doc(oos),
         "series": per_series,
     }
-    tables = []
-    labels = series[0].labels or tuple(str(t + 1) for t in range(n))
-    for rec, raw in zip(per_series, series):
-        rows = [
-            [
-                labels[t],
-                raw.lo[t],
-                raw.hi[t],
-                rec["trendline"]["lo"][t],
-                rec["trendline"]["hi"][t],
-                rec["residuals"]["lo"][t],
-                rec["residuals"]["hi"][t],
-            ]
-            for t in range(n)
-        ]
-        tables.append(
-            (
-                f"series{rec['index']}",
-                ["label", "lo", "hi", "trend_lo", "trend_hi", "resid_lo", "resid_hi"],
-                rows,
-            )
-        )
+    tables = {
+        f"series{rec['index']}": {
+            **series_columns(raw),
+            "trend_lo": rec["trendline"]["lo"],
+            "trend_hi": rec["trendline"]["hi"],
+            "resid_lo": rec["residuals"]["lo"],
+            "resid_hi": rec["residuals"]["hi"],
+        }
+        for rec, raw in zip(per_series, series)
+    }
     _emit(args, doc, tables)
 
 
@@ -269,13 +266,11 @@ def cmd_select(args) -> None:
     series = _load_input(args.input)
     dec, _ = _fit(args, series)
     per_series = []
-    rows = []
     for idx, raw in enumerate(series, start=1):
         sel = select_from_decomposition(
             dec, raw, series_index=idx, alpha=args.alpha, max_m=args.max_m
         )
         per_series.append({"index": idx, **_selection_doc(sel)})
-        rows.append([idx, sel.m, sel.converged, sel.critical_value])
     doc = {
         "command": "select",
         "version": __version__,
@@ -291,9 +286,8 @@ def cmd_select(args) -> None:
         "eigenvalues": dec.eig.values,
         "series": per_series,
     }
-    tables = [
-        ("selection", ["series", "m", "converged", "critical_value"], rows)
-    ]
+    cols = ("index", "m", "converged", "critical_value")
+    tables = {"selection": _record_columns(per_series, cols, index="series")}
     _emit(args, doc, tables)
 
 
@@ -333,11 +327,8 @@ def cmd_forecast(args) -> None:
             "hi": fc.values.hi,
         },
     }
-    rows = [
-        [n + t + 1, fc.values.lo[t], fc.values.hi[t]]
-        for t in range(args.horizon)
-    ]
-    tables = [("forecast", ["t", "lo", "hi"], rows)]
+    steps = range(n + 1, n + args.horizon + 1)
+    tables = {"forecast": {"t": steps, "lo": fc.values.lo, "hi": fc.values.hi}}
     _emit(args, doc, tables, always_csv=True)
 
 
@@ -390,16 +381,8 @@ def cmd_select_params(args) -> None:
         "input": _input_doc(args.input, series),
         "oos": _oos_doc(oos),
     }
-    rows = [
-        [
-            c["window"],
-            c["m"],
-            c["objective"],
-            c["failed"],
-        ]
-        for c in doc["oos"]["cells"]
-    ]
-    tables = [("objective", ["window", "m", "objective", "failed"], rows)]
+    cols = ("window", "m", "objective", "failed")
+    tables = {"objective": _record_columns(doc["oos"]["cells"], cols)}
     _emit(args, doc, tables)
 
 
@@ -415,19 +398,14 @@ def cmd_simulate(args) -> None:
             "seed": config.seed,
             "rho": config.rho,
             "sigma2": config.sigma2,
-            "generator": "pcg64",
+            "generator": GENERATOR,
         },
         "x": {"lo": data.x.lo, "hi": data.x.hi},
         "y": {"lo": data.y.lo, "hi": data.y.hi},
         "x_mean": {"lo": data.x_mean.lo, "hi": data.x_mean.hi},
         "y_mean": {"lo": data.y_mean.lo, "hi": data.y_mean.hi},
     }
-    rows = [
-        [t + 1, data.x.lo[t], data.x.hi[t], data.y.lo[t], data.y.hi[t]]
-        for t in range(config.n)
-    ]
-    tables = [("series", ["label", "lo_1", "hi_1", "lo_2", "hi_2"], rows)]
-    _emit(args, doc, tables)
+    _emit(args, doc, {"series": series_columns([data.x, data.y])})
 
 
 def cmd_mc(args) -> None:
@@ -451,45 +429,15 @@ def cmd_mc(args) -> None:
     )
     doc = {"command": "mc", "version": __version__}
     doc.update(report.to_dict())
-    hr_rows = [
-        [r.scenario, r.n, r.method, r.m, r.rep, r.seed, r.hr_x, r.hr_y]
-        for r in report.hr_rows
-    ]
-    sel_rows = [
-        [r.scenario, r.n, r.method, r.series, r.rep, r.seed, r.m, r.converged]
-        for r in report.selection_rows
-    ]
-    # every summary record has the same keys, in the same order
-    summary_header = list(doc["hr_summary"][0]) if doc["hr_summary"] else []
-    summary_rows = [list(rec.values()) for rec in doc["hr_summary"]]
-    mode_rows = [
-        [
-            rec["scenario"],
-            rec["n"],
-            rec["method"],
-            rec["series"],
-            rec["mode"],
-            ";".join(f"{m}:{c}" for m, c in rec["histogram"].items()),
-        ]
-        for rec in report.selection_summary()
-    ]
-    tables = [
-        (
-            "hr_rows",
-            ["scenario", "n", "method", "m", "rep", "seed", "hr_x", "hr_y"],
-            hr_rows,
-        ),
-        (
-            "selection_rows",
-            ["scenario", "n", "method", "series", "rep", "seed", "m", "converged"],
-            sel_rows,
-        ),
-        ("hr_summary", summary_header, summary_rows),
-        (
-            "selection_summary",
-            ["scenario", "n", "method", "series", "mode", "histogram"],
-            mode_rows,
-        ),
+    # every table keeps its records' fields in order, but the histogram,
+    # flattened to "m:count;...", moves to the last column
+    tables = {
+        name: _record_columns(doc[name])
+        for name in ("hr_rows", "selection_rows", "hr_summary", "selection_summary")
+    }
+    modes = tables["selection_summary"]
+    modes["histogram"] = [
+        ";".join(f"{m}:{c}" for m, c in h.items()) for h in modes.pop("histogram")
     ]
     _emit(args, doc, tables, always_csv=True)
 

@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from io import StringIO
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,24 +35,36 @@ CSV_DIGITS = 12
 #: Significant digits for JSON floats; 17 round-trips float64 exactly.
 JSON_DIGITS = 17
 
+#: Spaces per nesting level of the JSON document.
+JSON_INDENT = 2
+
 
 def read_csv(path: str) -> list[IntervalSeries]:
     """Read interval series from a narrow or wide CSV file.
 
-    Structural problems raise CsvError with a 1-based line number; interval
-    violations (lo > hi, non-finite endpoints) raise InvalidValueError
-    naming the line.
+    The file is UTF-8, with or without a byte-order mark.  Structural
+    problems and undecodable bytes raise CsvError with a 1-based line
+    number; interval violations (lo > hi, non-finite endpoints) raise
+    InvalidValueError naming the line.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CsvError(f"cannot open {path}: {exc.strerror}", line=0) from None
-    with fh:
-        numbered = [
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(fh), start=1)
-            if row and any(cell.strip() for cell in row)
-        ]
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports write
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CsvError(
+            f"not UTF-8: byte {raw[exc.start]:#04x}",
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    numbered = [
+        (lineno, row)
+        for lineno, row in enumerate(csv.reader(StringIO(text, newline="")), start=1)
+        if row and any(cell.strip() for cell in row)
+    ]
     if not numbered:
         raise CsvError("file has no header row", line=1)
     header_line, header = numbered[0]
@@ -159,8 +171,9 @@ def atomic_write_text(path: str, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def write_table_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write a generic table with fixed float formatting, atomically."""
+def write_table_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a generic table with fixed float formatting, atomically; rows
+    may be any iterable, such as ``zip`` over columns."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
@@ -169,12 +182,12 @@ def write_table_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) 
     atomic_write_text(path, buf.getvalue())
 
 
-def write_series_csv(
-    path: str,
+def series_columns(
     series: IntervalSeries | Sequence[IntervalSeries],
     labels: Sequence[str] | None = None,
-) -> None:
-    """Write one series (narrow layout) or several (wide layout)."""
+) -> dict:
+    """Named columns of one series (narrow layout) or several (wide layout);
+    labels default to the first series' own, else 1..n."""
     if isinstance(series, IntervalSeries):
         group = [series]
     else:
@@ -188,29 +201,30 @@ def write_series_csv(
     if labels is None:
         labels = group[0].labels
     if labels is None:
-        labels = tuple(str(t + 1) for t in range(n))
+        labels = range(1, n + 1)
     if len(labels) != n:
-        raise ShapeError(
-            f"got {len(labels)} labels for {n} rows"
-        )
-    if len(group) == 1:
-        header = ["label", "lo", "hi"]
-    else:
-        header = ["label"]
-        for s in range(len(group)):
-            header += [f"lo_{s + 1}", f"hi_{s + 1}"]
-    rows = []
-    for t in range(n):
-        row: list = [labels[t]]
-        for s in group:
-            row += [s.lo[t], s.hi[t]]
-        rows.append(row)
-    write_table_csv(path, header, rows)
+        raise ShapeError(f"got {len(labels)} labels for {n} rows")
+    cols = {"label": labels}
+    for s, y in enumerate(group, start=1):
+        tag = f"_{s}" if len(group) > 1 else ""
+        cols[f"lo{tag}"] = y.lo
+        cols[f"hi{tag}"] = y.hi
+    return cols
 
 
-def _emit_run(values, out: list[str], indent: int, level: int) -> None:
+def write_series_csv(
+    path: str,
+    series: IntervalSeries | Sequence[IntervalSeries],
+    labels: Sequence[str] | None = None,
+) -> None:
+    """Write one series (narrow layout) or several (wide layout)."""
+    cols = series_columns(series, labels)
+    write_table_csv(path, list(cols), zip(*cols.values()))
+
+
+def _emit_run(values, out: list[str], level: int) -> None:
     """A non-empty run of floats: one %-template, a vectorised patch, one join."""
-    pad_in = " " * (indent * (level + 1))
+    pad_in = " " * (JSON_INDENT * (level + 1))
     texts = ("\0".join((f"%.{JSON_DIGITS}g",) * len(values)) % tuple(values)).split("\0")
     a = np.asarray(values, dtype=float)
     finite = np.isfinite(a)
@@ -221,10 +235,10 @@ def _emit_run(values, out: list[str], indent: int, level: int) -> None:
     for i in np.flatnonzero((a == np.trunc(a)) & (np.abs(a) < 10.0**JSON_DIGITS)):
         texts[i] += ".0"
     out.append("[\n" + pad_in + (",\n" + pad_in).join(texts))
-    out.append("\n" + " " * (indent * level) + "]")
+    out.append("\n" + " " * (JSON_INDENT * level) + "]")
 
 
-def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
+def _emit_json(obj, out: list[str], level: int) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -243,45 +257,45 @@ def _emit_json(obj, out: list[str], indent: int, level: int) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-            _emit_run(obj.tolist(), out, indent, level)
+            _emit_run(obj.tolist(), out, level)
         else:
             # rows of a 2-D array are runs of their own
-            _emit_json(list(obj) if obj.ndim > 1 else obj.tolist(), out, indent, level)
+            _emit_json(list(obj) if obj.ndim > 1 else obj.tolist(), out, level)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        pad_in = " " * (indent * (level + 1))
+        pad_in = " " * (JSON_INDENT * (level + 1))
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 key = str(key)
             out.append(pad_in + json.dumps(key) + ": ")
-            _emit_json(value, out, indent, level + 1)
+            _emit_json(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(" " * (indent * level) + "}")
+        out.append(" " * (JSON_INDENT * level) + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
         elif all(isinstance(v, float) for v in obj):
-            _emit_run(obj, out, indent, level)
+            _emit_run(obj, out, level)
         else:
-            pad_in = " " * (indent * (level + 1))
+            pad_in = " " * (JSON_INDENT * (level + 1))
             out.append("[\n")
             for i, value in enumerate(obj):
                 out.append(pad_in)
-                _emit_json(value, out, indent, level + 1)
+                _emit_json(value, out, level + 1)
                 out.append(",\n" if i + 1 < len(obj) else "\n")
-            out.append(" " * (indent * level) + "]")
+            out.append(" " * (JSON_INDENT * level) + "]")
     else:
         raise ParameterError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     """Deterministic JSON text: .17g floats that always carry a '.' or an
     exponent, NaN/inf as null, insertion order preserved."""
     out: list[str] = []
-    _emit_json(obj, out, indent, 0)
+    _emit_json(obj, out, 0)
     return "".join(out)
 
 

@@ -79,7 +79,6 @@ class ErcSet:
 
     components: tuple[tuple[IntervalSeries, ...], ...]
     pairs: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
-    source: Decomposition
 
 
 def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:
@@ -101,4 +100,4 @@ def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:
         tuple(IntervalSeries(*phi_arrays(ga, gb)) for ga, gb in per_series)
         for per_series in pairs
     )
-    return ErcSet(components=comps, pairs=pairs, source=dec)
+    return ErcSet(components=comps, pairs=pairs)

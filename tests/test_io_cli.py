@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -128,6 +129,23 @@ class TestReadCsv:
         write_text(path, "label,lo,hi\nr1,1,inf\n")
         with pytest.raises(InvalidValueError, match="line 2"):
             read_csv(str(path))
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start the file with the UTF-8 byte-order mark
+        plain = tmp_path / "plain.csv"
+        marked = tmp_path / "bom.csv"
+        write_text(plain, WIDE)
+        marked.write_bytes(b"\xef\xbb\xbf" + WIDE.encode("utf-8"))
+        for got, want in zip(read_csv(str(marked)), read_csv(str(plain)), strict=True):
+            assert got == want and got.labels == want.labels
+
+    def test_non_utf8_names_line_and_byte(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_bytes("label,lo,hi\nr1,1,2\ncafé,3,4\n".encode("latin-1"))
+        with pytest.raises(CsvError) as err:
+            read_csv(str(path))
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: not UTF-8: byte 0xe9"
 
 
 class TestWriteCsv:
@@ -356,6 +374,13 @@ class TestCliBasics:
         res = run_cli("select", "--input", str(path))
         assert res.returncode == 2
         assert "line 3" in res.stderr
+
+    def test_non_utf8_input(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(NARROW.replace("2024-01", "janvier é").encode("latin-1"))
+        res = run_cli("select", "--input", str(path))
+        assert res.returncode == 2
+        assert res.stderr == "ivssa: parse error: line 2: not UTF-8: byte 0xe9\n"
 
     def test_invalid_interval(self, tmp_path):
         path = tmp_path / "rev.csv"
@@ -708,6 +733,128 @@ class TestCliMc:
         assert res.returncode == 5
         assert "configuration error" in res.stderr
         assert not os.path.exists(out)
+
+
+def _csv_cell(value) -> str:
+    """The text of a document value in a CSV table: 12 significant digits,
+    and an empty cell for None or a non-finite float."""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _fields(records, names, **source):
+    """Columns of document records; column c holds field source.get(c, c)."""
+    return {c: [r[source.get(c, c)] for r in records] for c in names}
+
+
+def _decompose_tables(doc, series):
+    labels = doc["input"]["labels"] or range(1, doc["input"]["n"] + 1)
+    return {
+        f"series{rec['index']}": {
+            "label": list(labels),
+            "lo": list(y.lo),
+            "hi": list(y.hi),
+            "trend_lo": rec["trendline"]["lo"],
+            "trend_hi": rec["trendline"]["hi"],
+            "resid_lo": rec["residuals"]["lo"],
+            "resid_hi": rec["residuals"]["hi"],
+        }
+        for rec, y in zip(doc["series"], series, strict=True)
+    }
+
+
+def _select_tables(doc, series):
+    names = ("series", "m", "converged", "critical_value")
+    return {"selection": _fields(doc["series"], names, series="index")}
+
+
+def _forecast_tables(doc, series):
+    fc = doc["forecast"]
+    t = [doc["input"]["n"] + step for step in fc["step"]]
+    return {"forecast": {"t": t, "lo": fc["lo"], "hi": fc["hi"]}}
+
+
+def _select_params_tables(doc, series):
+    names = ("window", "m", "objective", "failed")
+    return {"objective": _fields(doc["oos"]["cells"], names)}
+
+
+def _simulate_tables(doc, series):
+    x, y = doc["x"], doc["y"]
+    label = list(range(1, doc["params"]["n"] + 1))
+    cols = {"label": label, "lo_1": x["lo"], "hi_1": x["hi"]}
+    return {"series": {**cols, "lo_2": y["lo"], "hi_2": y["hi"]}}
+
+
+def _mc_tables(doc, series):
+    tables = {
+        name: _fields(doc[name], list(doc[name][0]))
+        for name in ("hr_rows", "selection_rows", "hr_summary")
+    }
+    modes = doc["selection_summary"]
+    tables["selection_summary"] = {
+        **_fields(modes, ("scenario", "n", "method", "series", "mode")),
+        "histogram": [
+            ";".join(f"{m}:{c}" for m, c in r["histogram"].items()) for r in modes
+        ],
+    }
+    return tables
+
+
+CSV_CASES = {
+    "decompose-narrow": (["decompose", "--input", "{sample}"], _decompose_tables),
+    "decompose-wide": (
+        ["decompose", "--input", "{wide}", "--grouping", "fixed:3"],
+        _decompose_tables,
+    ),
+    "select": (["select", "--input", "{wide}", "--stack", "horizontal"], _select_tables),
+    "forecast": (["forecast", "--input", "{sample}", "--horizon", "5"], _forecast_tables),
+    "select-params": (
+        [
+            "select-params", "--input", "{sample}", "--l-grid", "10,15,40",
+            "--m-grid", "1,2,30", "--horizon", "6", "--stride", "5",
+        ],
+        _select_params_tables,
+    ),
+    "simulate": (
+        ["simulate", "--scenario", "B", "--n", "25", "--seed", "2"],
+        _simulate_tables,
+    ),
+    "mc": (
+        [
+            "mc", "--scenario", "A", "--n-list", "10", "--m-list", "1,7",
+            "--methods", "ivssa,v-mivssa", "--reps", "2", "--seed", "5",
+        ],
+        _mc_tables,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_csv_tables_mirror_document(case, sample_csv, wide_csv, tmp_path):
+    """Every cell of every CSV table is the document field it comes from."""
+    argv, expected = CSV_CASES[case]
+    argv = [a.format(sample=sample_csv, wide=wide_csv) for a in argv]
+    out = tmp_path / "doc.json"
+    assert cli.main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    series = read_csv(doc["input"]["path"]) if "input" in doc else None
+    tables = expected(doc, series)
+    written = sorted(p.name for p in tmp_path.glob("doc.*.csv"))
+    assert written == sorted(f"doc.{suffix}.csv" for suffix in tables)
+    for suffix, cols in tables.items():
+        with open(tmp_path / f"doc.{suffix}.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(cols)
+        assert rows, suffix
+        assert all(len(col) == len(rows) for col in cols.values())
+        for row, values in zip(rows, zip(*cols.values())):
+            assert row == [_csv_cell(v) for v in values]
 
 
 class TestOneShotScript:
