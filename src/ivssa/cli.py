@@ -201,7 +201,7 @@ def _group_size(args, kind, fixed_m, dec, oos, y, series_index=1):
         )
         return sel.m, _selection_doc(sel)
     if kind == "fixed":
-        Grouping.leading(fixed_m).validate(dec.d)
+        Grouping.leading(fixed_m).validate(dec.eig.rank_bound(fixed_m))
         return fixed_m, None
     return oos.m, None
 

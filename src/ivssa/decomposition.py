@@ -15,9 +15,10 @@ A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
 eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
 fit computes only what is read (``_eigen_pairs``): block subspace
 iteration with Rayleigh-Ritz finds the leading eigenvectors up to a clear
-spectral gap, one Cholesky factorisation proves the rank d, and the
-eigenvalues, the eigenvectors past the gap and their projections are
-computed on first read.
+spectral gap j, whose eigenvalues lie provably above the rank cutoff, so
+every index up to j is known to be at most d.  The rank d itself (one
+Cholesky factorisation), the eigenvalues, the eigenvectors past the gap
+and their projections are computed on first read.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ DEFAULT_RANK_EPS = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 #: Rows of S from which a fit solves only for what is read.  On a series
-#: whose scan reads past the gap, the block iteration and the Cholesky
-#: factorisation are wasted; below this size that waste outweighs the
-#: eigenpairs and projections it saves.
+#: whose scan reads past the gap, the block iteration and the rank's
+#: Cholesky factorisation are wasted; below this size that waste outweighs
+#: the eigenpairs and projections it saves.
 _LAZY_ROWS = 400
 
 #: Block subspace iteration: columns of the block, the last _GUARD of
@@ -61,6 +62,11 @@ _PASSES = 12
 
 #: Components past the known eigenvectors are projected this many at a time.
 _PROJECTION_BLOCK = 32
+
+#: A gap value theta_j must exceed the rank cutoff by this many l * eps *
+#: trace S, which covers the rounding of the Ritz values and of
+#: ``eigvalsh``, so the rank d that ``_rank`` reports is at least j.
+_RANK_MARGIN = 16
 
 #: A Ritz pair (theta_i, x_i) up to a gap j has converged once
 #: ||S x_i - theta_i x_i|| is at most this times theta_i - theta_{j+1}: that
@@ -115,7 +121,7 @@ def stacked_covariance(
 
 
 def _fill(obj, **fields) -> None:
-    """Set fields of a frozen dataclass instance."""
+    """Set attributes of a frozen dataclass instance."""
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
 
@@ -130,22 +136,37 @@ class EigenPairs:
 
     ``EigenPairs(values, vectors, d)`` holds a complete solve.  The pairs of
     a large fit (see ``_eigen_pairs``) hold S and its leading eigenvectors
-    up to a spectral gap, and compute the rest on first read: ``values``
-    from ``np.linalg.eigvalsh``, and ``vectors`` from one ``eigen_sym``
-    solve that supplies only the columns past the gap.  Both are kept, and
-    neither changes the bits of what was read before, so a column or a
-    value is the same whatever was read first.  ``leading(m)`` gives the
-    first m columns and solves for nothing it does not return.
+    up to a spectral gap j <= d, and compute the rest on first read: ``d``
+    from ``_rank``, ``values`` from ``np.linalg.eigvalsh``, and ``vectors``
+    from one ``eigen_sym`` solve that supplies only the columns past the
+    gap.  All are kept, d outside the fields, and none changes the bits of
+    what was read before or any field but its own, so a column, a value or
+    d is the same whatever was read first.  ``leading(m)`` gives the first
+    m columns and solves for nothing it does not return; ``rank_bound(i)``
+    tells whether i <= d and reads d only past the gap.
     """
 
-    d: int
     _known: np.ndarray
     _values: np.ndarray | None
     _vectors: np.ndarray | None
     _s: np.ndarray | None
+    _rank_args: tuple[float, float] | None
 
     def __init__(self, values: np.ndarray, vectors: np.ndarray, d: int):
-        _fill(self, d=d, _known=vectors, _values=values, _vectors=vectors, _s=None)
+        _fill(self, _known=vectors[:, :d], _values=values, _vectors=vectors, _s=None,
+              _rank_args=None, d=d)
+
+    @cached_property
+    def d(self) -> int:
+        """The rank, set by a complete solve, else ``_rank`` on first read."""
+        return _rank(self._s, *self._rank_args)
+
+    def rank_bound(self, i: int) -> int:
+        """A lower bound on d that is at least i when i <= d, so
+        ``i <= rank_bound(i)`` tests i <= d: the count of known leading
+        columns, all within the rank, when it covers i, else d itself."""
+        j = self._known.shape[1]
+        return j if i <= j else self.d
 
     @property
     def values(self) -> np.ndarray:
@@ -265,13 +286,16 @@ def _gap_block(s: np.ndarray, rank_eps: float) -> tuple[float, np.ndarray] | Non
     largest diagonal entries.  Each pass orthonormalises the block,
     multiplies it by S and rotates it onto the Ritz vectors of S on its
     span.  A gap is an index j among the first _BLOCK - _GUARD with
-    theta_{j+1} <= _GAP_RATIO * theta_j and theta_j above the rank cutoff.
+    theta_{j+1} <= _GAP_RATIO * theta_j and theta_j above the rank cutoff
+    by _RANK_MARGIN (so j <= d).
     X keeps the first j columns once their residuals meet _ANGLE_TOL, for
     the largest gap j of the pass; after _PASSES passes, for the largest gap
     whose columns have converged.  None when there is no such gap.
     """
     x = s[:, np.argsort(np.diag(s), kind="stable")[::-1][:_BLOCK]]
     top = _BLOCK - _GUARD
+    # lambda_1 <= trace S, as S = Z Z' is positive semidefinite
+    floor = (rank_eps + _RANK_MARGIN * len(s) * np.finfo(float).eps) * np.trace(s)
     for p in range(_PASSES):
         q = np.linalg.qr(x)[0]
         sq = s @ q
@@ -280,7 +304,7 @@ def _gap_block(s: np.ndarray, rank_eps: float) -> tuple[float, np.ndarray] | Non
         x, sx = q @ v, sq @ v
         gaps = np.flatnonzero(
             (theta[1 : top + 1] <= _GAP_RATIO * theta[:top])
-            & (theta[:top] > rank_eps * theta[0])
+            & (theta[:top] > floor)
         ) + 1
         candidates = gaps[::-1] if p == _PASSES - 1 else gaps[-1:]
         if candidates.size:
@@ -295,22 +319,21 @@ def _gap_block(s: np.ndarray, rank_eps: float) -> tuple[float, np.ndarray] | Non
     return None
 
 
-def _rank(s: np.ndarray, theta1: float, rank_eps: float) -> tuple[int, np.ndarray | None]:
-    """Rank d of S, with its eigenvalues when they were needed to find it.
+def _rank(s: np.ndarray, theta1: float, rank_eps: float) -> int:
+    """Rank d of S.
 
     A Cholesky factorisation of S - tau I, tau = rank_eps * theta_1, exists
     only when every eigenvalue exceeds tau, which proves d = l.  When it
     fails, d counts the ``eigvalsh`` eigenvalues as ``_checked_eigh`` counts
-    its own.
+    its own; they are not kept.
     """
     shifted = s.copy()
     shifted.flat[:: len(s) + 1] -= rank_eps * theta1
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        values = _eigenvalues(s)
-        return int(_rank_of(values, rank_eps)), values
-    return len(s), None
+        return int(_rank_of(_eigenvalues(s), rank_eps))
+    return len(s)
 
 
 def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
@@ -318,11 +341,10 @@ def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
 
     Below _LAZY_ROWS rows this is ``eigen_sym``.  A finite, exactly
     symmetric, nonzero S of at least that many keeps its leading
-    eigenvectors up to a spectral gap (``_gap_block``) and the rank from
-    ``_rank``, and computes the rest on first read (see ``EigenPairs``).
-    Any other S, one without a converged gap, or one whose rank d falls
-    short of the gap, takes ``eigen_sym``'s complete solve, which also
-    raises its errors.
+    eigenvectors up to a spectral gap (``_gap_block``), and computes the
+    rest, the rank d from ``_rank`` included, on first read (see
+    ``EigenPairs``).  Any other S, or one without a converged gap, takes
+    ``eigen_sym``'s complete solve, which also raises its errors.
     """
     if len(s) >= _LAZY_ROWS:
         _check_rank_eps(rank_eps)
@@ -330,11 +352,10 @@ def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
             found = _gap_block(s, rank_eps)
             if found is not None:
                 theta1, lead = found
-                d, values = _rank(s, theta1, rank_eps)
-                if d >= lead.shape[1]:
-                    pairs = object.__new__(EigenPairs)
-                    _fill(pairs, d=d, _known=lead, _values=values, _vectors=None, _s=s)
-                    return pairs
+                pairs = object.__new__(EigenPairs)
+                _fill(pairs, _known=lead, _values=None, _vectors=None, _s=s,
+                      _rank_args=(theta1, rank_eps))
+                return pairs
     return eigen_sym(s, rank_eps)
 
 
@@ -407,7 +428,7 @@ class Decomposition:
         up to d.  So a row has the same bits whatever was read before it."""
         j = self.eig._known.shape[1]
         start = 0 if i < j else i - (i - j) % _PROJECTION_BLOCK
-        stop = min(j if i < j else start + _PROJECTION_BLOCK, self.d)
+        stop = j if i < j else min(start + _PROJECTION_BLOCK, self.d)
         if start not in self._w:
             w = self.eig.leading(stop)[:, start:].T @ self._z
             w.flags.writeable = False
@@ -429,7 +450,7 @@ class Decomposition:
         rows, cols = self.series_block(series_index)
         u, mid, radius = [], [], []
         for i in indices:
-            if not 1 <= i <= self.d:
+            if not 1 <= i <= self.eig.rank_bound(i):
                 raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
             u.append(self.eig.leading(i)[rows, i - 1])
             wc, wr = self._projections(i - 1)
@@ -454,7 +475,8 @@ def _build(
     eigenvectors known so far."""
     z = _embed([symbolic_channels(y.lo, y.hi) for y in series], window, mode)
     eig = _eigen_pairs(_symmetric_product(z), rank_eps)
-    if eig.d == 0 and any(y.lo.any() or y.hi.any() for y in series):
+    has_rank = 1 <= eig.rank_bound(1)  # d >= 1, which a gap block proves
+    if not has_rank and any(y.lo.any() or y.hi.any() for y in series):
         raise InvalidValueError(_UNDERFLOW)
     n = len(series[0])
     dec = Decomposition(
@@ -466,7 +488,7 @@ def _build(
         eig=eig,
         _z=z,
     )
-    if dec.d:
+    if has_rank:
         dec._projections(0)
     if eig._s is None:  # a complete solve: every component is projected
         _fill(dec, _z=None)

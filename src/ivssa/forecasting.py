@@ -102,7 +102,7 @@ def recurrence_coefficients(
     eigenspace with ||pi||^2 ~ 1 contains the last coordinate axis and
     admits no recurrence.
     """
-    grouping.validate(eig.d)
+    grouping.validate(eig.rank_bound(max(grouping.indices)))
     idx = np.asarray(grouping.indices, dtype=int) - 1
     u = eig.leading(idx.max() + 1)
     if u.shape[0] < 2:

@@ -61,7 +61,7 @@ def trendline(
         )
     out = []
     for s, g in enumerate(groupings, start=1):
-        g.validate(dec.d)
+        g.validate(dec.eig.rank_bound(max(g.indices)))
         ca, cb = dec.component_channels(g.indices, s)
         lo, hi = phi_arrays(np.cumsum(ca, axis=0)[-1], np.cumsum(cb, axis=0)[-1])
         out.append(IntervalSeries(lo, hi))
@@ -84,7 +84,7 @@ class ErcSet:
 def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:
     """Diagonal-average each of the first ``count`` components, per series
     for stacked decompositions."""
-    if not 1 <= count <= dec.d:
+    if not 1 <= count <= dec.eig.rank_bound(count):
         raise ParameterError(f"count must lie in [1, {dec.d}], got {count}")
     channels = [
         dec.component_channels(range(1, count + 1), s)

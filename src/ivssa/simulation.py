@@ -197,8 +197,10 @@ def _mc_replication(args) -> tuple[list[McRow], list[McSelectionRow]]:
         except (IvssaError, np.linalg.LinAlgError):
             fits = []
         # a row's HRs need m within the rank of every fit of the method
-        rank = min((dec.d for dec, _ in fits), default=0)
-        m_top = max((m for m in m_list if m <= rank), default=0)
+        m_top = max(
+            (m for m in m_list if fits and all(m <= f.eig.rank_bound(m) for f, _ in fits)),
+            default=0,
+        )
         hrs = [
             _prefix_hr(dec, s, truth, m_top) if m_top else []
             for (dec, s), (_, _, truth) in zip(fits, streams)

@@ -293,15 +293,17 @@ def antidiagonal_means(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class FullFit:
-    """The complete-solve fit of ``decompose_full``: ``eig`` and ``d`` as a
-    ``Decomposition`` has them, and ``component_channels`` from the
-    projections u'A and u'B of the stacked trajectory grids."""
+    """The complete-solve fit of ``decompose_full``: ``eig``, ``d``,
+    ``n_series`` and ``series_length`` as a ``Decomposition`` has them, and
+    ``component_channels`` from the projections u'A and u'B of the stacked
+    trajectory grids."""
 
     def __init__(self, eig, mat, mode, window: int, n_series: int):
         u = eig.vectors[:, : eig.d]
         self.eig, self.d = eig, eig.d
-        self.mode, self.window = mode, window
+        self.mode, self.window, self.n_series = mode, window, n_series
         self.k = mat.n_cols // n_series if mode.value == "horizontal" else mat.n_cols
+        self.series_length = self.k + window - 1
         self.wa, self.wb = u.T @ mat.a, u.T @ mat.b
 
     def component_channels(self, indices, series_index: int = 1):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -18,11 +20,15 @@ from ivssa import (
     decompose,
     decompose_stacked,
     eigen_sym,
+    forecast_recurrent,
     pair_cross_covariance,
     recurrence_coefficients,
+    reconstruct_ercs,
+    select_from_decomposition,
     stack,
     stacked_covariance,
     symbolic_covariance,
+    trendline,
 )
 from helpers import (
     assert_compares_by_identity,
@@ -316,6 +322,39 @@ def weekly_shaped(n: int, seed: int) -> IntervalSeries:
     return IntervalSeries(mid - half, mid + half)
 
 
+def count_calls(monkeypatch, *names: str) -> dict:
+    """Counts of the calls to the named ``np.linalg`` functions from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def field_digest(obj) -> str:
+    """SHA-256 of every dataclass field of obj, recursing through
+    dataclasses and dicts, arrays by dtype, shape and bytes."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype.str}{x.shape}".encode() + np.ascontiguousarray(x).tobytes())
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                feed(getattr(x, f.name))
+        elif isinstance(x, dict):
+            for k in sorted(x):
+                h.update(repr(k).encode())
+                feed(x[k])
+        else:
+            h.update(repr(x).encode())
+
+    feed(obj)
+    return h.hexdigest()
+
+
 def rel_rows(got: np.ndarray, want: np.ndarray) -> float:
     """Largest difference of two (rows, n) arrays, row by row relative to
     the row's largest magnitude."""
@@ -413,41 +452,121 @@ class TestLargeFits:
 
     def test_bits_independent_of_read_order(self):
         y = long_shaped(2 * _LAZY_ROWS + 9, seed=2)
+        # d first, then the gap components, past the gap, and the eigenvalues
         first = decompose(y, _LAZY_ROWS)
+        d = first.d
         j = first.eig._known.shape[1]
-        assert first.eig._s is not None and j + 40 < first.d
+        assert first.eig._s is not None and j + 40 < d
         indices = range(1, j + 41)
-        # gap components first, then past the gap, then the eigenvalues
         lead = first.component_channels(range(1, j + 1))
         past = first.component_channels(range(j + 1, j + 41))
         first_alpha = recurrence_coefficients(first.eig, Grouping.leading(j)).alpha
         first.eig.values
-        # the eigenvectors and eigenvalues first, then every component
+        # the eigenvectors and eigenvalues first, then every component, d last
         second = decompose(y, _LAZY_ROWS)
         second.eig.vectors
         second.eig.values
+        second_channels = second.component_channels(indices)
+        assert second.d == d
         # the eigenvalues, then a component of the second block past the gap
         third = decompose(y, _LAZY_ROWS)
         third.eig.values
         third.component_channels((j + 40,))
-        for dec in (second, third):
-            ca, cb = dec.component_channels(indices)
+        third_channels = third.component_channels(indices)
+        # d never read: only the gap components, the weights and the pairs
+        fourth = decompose(y, _LAZY_ROWS)
+        fourth.eig.vectors
+        fourth.eig.values
+        fourth_lead = fourth.component_channels(range(1, j + 1))
+        fourth_alpha = recurrence_coefficients(fourth.eig, Grouping.leading(j)).alpha
+        assert "d" not in vars(fourth.eig)
+        assert np.array_equal(fourth_lead[0], lead[0])
+        assert np.array_equal(fourth_lead[1], lead[1])
+        assert np.array_equal(fourth_alpha, first_alpha)
+        for dec, (ca, cb) in ((second, second_channels), (third, third_channels)):
             assert np.array_equal(ca, np.vstack((lead[0], past[0])))
             assert np.array_equal(cb, np.vstack((lead[1], past[1])))
             alpha = recurrence_coefficients(dec.eig, Grouping.leading(j)).alpha
             assert np.array_equal(alpha, first_alpha)
+        for dec in (second, third, fourth):
             assert np.array_equal(dec.eig.vectors, first.eig.vectors)
             assert np.array_equal(dec.eig.values, first.eig.values)
+            assert dec.d == d
 
-    def test_rank_deficient_covariance_exact_rank(self):
+    @pytest.mark.parametrize("sine_only", [False, True], ids=["cholesky", "eigvalsh"])
+    def test_reading_d_changes_no_field(self, sine_only):
+        # d is kept outside the fields, and the eigenvalues that count it
+        # when the Cholesky factorisation fails are not kept
+        if sine_only:
+            s = np.sin(2 * np.pi * np.arange(2 * _LAZY_ROWS) / 40.0)
+            y = IntervalSeries(s, s + 1.0)
+        else:
+            y = long_shaped(2 * _LAZY_ROWS - 1, seed=6)
+        dec = decompose(y, _LAZY_ROWS)
+        assert dec.eig._s is not None
+        before = field_digest(dec)
+        assert dec.d == (3 if sine_only else _LAZY_ROWS)
+        assert field_digest(dec) == before
+
+    def test_pipeline_within_the_gap_solves_nothing(self, monkeypatch):
+        # the README pipeline on a fit whose scan stops inside the gap block
+        # never factors S or counts its eigenvalues
+        calls = count_calls(monkeypatch, "cholesky", "eigvalsh")
+        y = long_shaped(2 * _LAZY_ROWS - 1, seed=7)
+        dec = decompose(y)
+        sel = select_from_decomposition(dec, y)
+        grouping = Grouping.leading(sel.m)
+        reconstruct_ercs(dec, sel.m)
+        trend = trendline(dec, grouping)[0]
+        forecast_recurrent(trend, recurrence_coefficients(dec.eig, grouping), 10)
+        assert dec.window == _LAZY_ROWS and sel.m <= dec.eig._known.shape[1]
+        assert calls == {"cholesky": 0, "eigvalsh": 0}
+        ref = decompose_full(y)
+        assert dec.d == ref.d and sel.m == select_from_decomposition(ref, y).m
+        want = trendline(ref, grouping)[0]
+        assert rel_rows(trend.lo[None], want.lo[None]) <= 1e-10
+        assert rel_rows(trend.hi[None], want.hi[None]) <= 1e-10
+
+    def test_past_the_rank_messages_match_complete_solve(self):
+        y = long_shaped(2 * _LAZY_ROWS - 1, seed=8)
+        dec, ref = decompose(y, _LAZY_ROWS), decompose_full(y, _LAZY_ROWS)
+        assert dec.eig._s is not None and ref.d == _LAZY_ROWS
+        past = _LAZY_ROWS + 1
+        for call in (
+            lambda fit: recurrence_coefficients(fit.eig, Grouping.leading(past)),
+            lambda fit: trendline(fit, Grouping((1, past))),
+            lambda fit: reconstruct_ercs(fit, past),
+        ):
+            with pytest.raises(ParameterError) as got:
+                call(dec)
+            with pytest.raises(ParameterError) as want:
+                call(ref)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ParameterError) as got:
+            dec.component_channels((past,))
+        assert str(got.value) == f"component must lie in [1, {ref.d}], got {past}"
+
+    def test_gap_at_the_rank_cutoff_is_not_taken(self):
+        # with the cutoff just below theta_3, the gap after the sine pair
+        # is within rounding of it, so the fit keeps only the level's gap
+        y = long_shaped(2 * _LAZY_ROWS - 1, seed=9)
+        values = decompose_full(y, _LAZY_ROWS).eig.values
+        rank_eps = values[2] / values[0] * (1 - 1e-6)
+        dec = decompose(y, _LAZY_ROWS, rank_eps=rank_eps)
+        assert dec.eig._s is not None and dec.eig._known.shape[1] == 1
+        assert dec.d == decompose_full(y, _LAZY_ROWS, rank_eps=rank_eps).d == 3
+
+    def test_rank_deficient_covariance_exact_rank(self, monkeypatch):
         # a pure sine with a constant radius spans three directions, so the
         # Cholesky factorisation fails and eigvalsh counts d
         t = np.arange(2 * _LAZY_ROWS)
         s = np.sin(2 * np.pi * t / 40.0)
         y = IntervalSeries(s, s + 1.0)
         dec = decompose(y, _LAZY_ROWS)
-        assert dec.eig._s is not None and dec.eig._values is not None
+        assert dec.eig._s is not None
+        calls = count_calls(monkeypatch, "eigvalsh")
         assert dec.d == decompose_full(y, _LAZY_ROWS).d == 3
+        assert calls == {"eigvalsh": 1} and dec.eig._values is None
 
     def test_rank_eps_zero(self):
         y = long_shaped(2 * _LAZY_ROWS - 1, seed=3)
