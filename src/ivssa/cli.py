@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 input parse, 3 input validation, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -474,7 +475,9 @@ def _add_fit_options(sub, stack: bool, grouping: bool) -> None:
     sub.add_argument("--max-m", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: ``parse_args`` leaves it as it was."""
     parser = _Parser(prog="ivssa", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"

@@ -9,7 +9,8 @@ two-channel SSA.  Every fit, univariate or stacked, takes Z from
 u_i of S with its projection u_i' Z, mid part then radius part.
 Component i is the rank-one matrix u_i (u_i' Z), never formed;
 ``Decomposition.component_channels`` diagonal-averages its mid and radius
-parts and maps them back to endpoints (``channel_endpoints``).
+parts, maps them back to endpoints (``channel_endpoints``) and keeps the
+result, so each component of a fit is averaged once.
 
 A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
 eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
@@ -389,7 +390,9 @@ class Decomposition:
     row per component, by the first component of each block that
     ``_projections`` computed.  Z itself (``_z``) is kept only while
     components remain to be projected, which is when ``eig`` holds part of
-    a solve.
+    a solve.  ``_rows`` maps a series index to the averaged endpoint
+    channels of every component ``component_channels`` has served for it,
+    16 n bytes each, so every reader averages a component once per fit.
     """
 
     mode: StackingMode
@@ -400,6 +403,7 @@ class Decomposition:
     eig: EigenPairs
     _z: np.ndarray | None
     _w: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
 
     @property
     def d(self) -> int:
@@ -446,17 +450,26 @@ class Decomposition:
         i = indices[r]: the antidiagonal means of u_i (u_i' Z) over the
         series' block, channel by channel (``_averaged``).  Prefix sums of the
         rows (``np.cumsum(axis=0)``) give grouped trendlines.
+
+        A row is averaged on its first read and kept in ``_rows``; reads
+        return copies.  ``_averaged`` treats each row on its own, so a kept
+        row has the bits a fresh one would, whatever was read with it.
         """
         rows, cols = self.series_block(series_index)
+        kept = self._rows.setdefault(series_index, {})
+        new = [i for i in dict.fromkeys(indices) if i not in kept]
         u, mid, radius = [], [], []
-        for i in indices:
+        for i in new:
             if not 1 <= i <= self.eig.rank_bound(i):
                 raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
             u.append(self.eig.leading(i)[rows, i - 1])
             wc, wr = self._projections(i - 1)
             mid.append(wc[cols])
             radius.append(wr[cols])
-        return _averaged(u, mid, radius, self._counts)
+        if new:
+            kept.update(zip(new, zip(*_averaged(u, mid, radius, self._counts))))
+        shape = (len(indices), self.series_length)
+        return tuple(np.array([kept[i][c] for i in indices]).reshape(shape) for c in (0, 1))
 
     @cached_property
     def _counts(self) -> np.ndarray:

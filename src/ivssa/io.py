@@ -4,7 +4,9 @@ CSV layouts: narrow ``label,lo,hi`` for one series, wide
 ``label,lo_1,hi_1,...,lo_D,hi_D`` for several series sharing labels.  All
 file writes go through a temp file and os.replace, and the JSON emitter is
 deterministic (fixed float formatting, insertion-ordered keys) so repeated
-runs produce identical bytes.
+runs produce identical bytes.  A float's text depends only on its bits, so
+the emitter formats each distinct float of a dict's arrays once, and a list
+of flat records one column at a time, with the bytes unchanged.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ JSON_DIGITS = 17
 
 #: Spaces per nesting level of the JSON document.
 JSON_INDENT = 2
+
+#: Exact types whose JSON text depends only on (type, value), and the
+#: types the emitter writes over several lines.
+_PLAIN = {str, int, bool, type(None)}
+_NESTED = (dict, list, tuple, np.ndarray)
 
 
 def read_csv(path: str) -> list[IntervalSeries]:
@@ -222,9 +229,8 @@ def write_series_csv(
     write_table_csv(path, list(cols), zip(*cols.values()))
 
 
-def _emit_run(values, out: list[str], level: int) -> None:
-    """A non-empty run of floats: one %-template, a vectorised patch, one join."""
-    pad_in = " " * (JSON_INDENT * (level + 1))
+def _float_texts(values) -> list[str]:
+    """JSON texts of floats: one %-template, then a vectorised patch."""
     texts = ("\0".join((f"%.{JSON_DIGITS}g",) * len(values)) % tuple(values)).split("\0")
     a = np.asarray(values, dtype=float)
     finite = np.isfinite(a)
@@ -234,8 +240,64 @@ def _emit_run(values, out: list[str], level: int) -> None:
     a = np.where(finite, a, 0.5)  # keeps nan out of the comparisons below
     for i in np.flatnonzero((a == np.trunc(a)) & (np.abs(a) < 10.0**JSON_DIGITS)):
         texts[i] += ".0"
+    return texts
+
+
+def _shared_texts(runs: list[np.ndarray]) -> list[list[str]]:
+    """The texts of each float array in ``runs``, formatting each distinct
+    float once.  A text depends only on the float's bits, so floats are
+    told apart by their int64 bit pattern: -0.0 and 0.0, or two NaN
+    payloads, keep texts of their own."""
+    bits = np.concatenate([r.astype(float, copy=False) for r in runs]).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(_float_texts(distinct.view(float).tolist()), dtype=object)
+    ends = np.cumsum([r.size for r in runs])
+    return [texts[k].tolist() for k in np.split(inverse.ravel(), ends[:-1])]
+
+
+def _emit_texts(texts: list[str], out: list[str], level: int) -> None:
+    """A non-empty run of formatted values, one per line, with one join."""
+    pad_in = " " * (JSON_INDENT * (level + 1))
     out.append("[\n" + pad_in + (",\n" + pad_in).join(texts))
     out.append("\n" + " " * (JSON_INDENT * level) + "]")
+
+
+def _column_texts(values: list, level: int) -> list[str]:
+    """JSON texts of one column of records: floats and None (null, as NaN
+    is) formatted together, else each distinct str, int or bool once."""
+    if all(v is None or isinstance(v, float) for v in values):
+        return _float_texts([math.nan if v is None else v for v in values])
+    seen = {(type(v), v): v for v in values if type(v) in _PLAIN}
+    seen = {key: _json_text(v, level) for key, v in seen.items()}
+    return [seen[type(v), v] if type(v) in _PLAIN else _json_text(v, level) for v in values]
+
+
+def _emit_records(records, out: list[str], level: int) -> None:
+    """A list of flat dicts that share their keys in order: the key
+    prefixes are built once and each column's values are formatted
+    together."""
+    pad = " " * (JSON_INDENT * (level + 1))
+    keys = list(records[0])
+    heads = [" " * (JSON_INDENT * (level + 2)) + json.dumps(k) + ": " for k in keys]
+    columns = [_column_texts([r[k] for r in records], level + 2) for k in keys]
+    close = "\n" + pad + "}"
+    body = (",\n" + pad).join(
+        "{\n" + ",\n".join(map(str.__add__, heads, row)) + close for row in zip(*columns)
+    )
+    out.append("[\n" + pad + body + "\n" + " " * (JSON_INDENT * level) + "]")
+
+
+def _is_records(obj) -> bool:
+    """Whether a list holds dicts with one order of str keys, the first of
+    them non-empty and flat: records of arrays keep the dict path's shared
+    texts."""
+    keys = list(obj[0]) if isinstance(obj[0], dict) else []
+    flat = keys and all(type(k) is str and not isinstance(obj[0][k], _NESTED) for k in keys)
+    return bool(flat) and all(isinstance(r, dict) and list(r) == keys for r in obj)
+
+
+def _is_run(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size > 0
 
 
 def _emit_json(obj, out: list[str], level: int) -> None:
@@ -256,8 +318,8 @@ def _emit_json(obj, out: list[str], level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-            _emit_run(obj.tolist(), out, level)
+        if _is_run(obj):
+            _emit_texts(_float_texts(obj.tolist()), out, level)
         else:
             # rows of a 2-D array are runs of their own
             _emit_json(list(obj) if obj.ndim > 1 else obj.tolist(), out, level)
@@ -266,19 +328,26 @@ def _emit_json(obj, out: list[str], level: int) -> None:
             out.append("{}")
             return
         pad_in = " " * (JSON_INDENT * (level + 1))
+        runs = [v for v in obj.values() if _is_run(v)]
+        shared = dict(zip(map(id, runs), _shared_texts(runs))) if runs else {}
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 key = str(key)
             out.append(pad_in + json.dumps(key) + ": ")
-            _emit_json(value, out, level + 1)
+            if id(value) in shared:
+                _emit_texts(shared[id(value)], out, level + 1)
+            else:
+                _emit_json(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(" " * (JSON_INDENT * level) + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
         elif all(isinstance(v, float) for v in obj):
-            _emit_run(obj, out, level)
+            _emit_texts(_float_texts(obj), out, level)
+        elif _is_records(obj):
+            _emit_records(obj, out, level)
         else:
             pad_in = " " * (JSON_INDENT * (level + 1))
             out.append("[\n")
@@ -291,12 +360,16 @@ def _emit_json(obj, out: list[str], level: int) -> None:
         raise ParameterError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _json_text(obj, level: int) -> str:
+    out: list[str] = []
+    _emit_json(obj, out, level)
+    return "".join(out)
+
+
 def json_dumps(obj) -> str:
     """Deterministic JSON text: .17g floats that always carry a '.' or an
     exponent, NaN/inf as null, insertion order preserved."""
-    out: list[str] = []
-    _emit_json(obj, out, 0)
-    return "".join(out)
+    return _json_text(obj, 0)
 
 
 def write_json(path: str, obj) -> None:

@@ -294,7 +294,54 @@ json_arrays = st.one_of(
         hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
     ),
 )
+# NaNs whose payloads differ, which the shared texts of a dict keep apart
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000001, 0x7FF80000DEADBEEF, 0xFFF8000000000000], dtype=np.uint64
+).view(np.float64).tolist()
+NAN32_PAYLOADS = np.array([0x7FC00001, 0xFFC00000], dtype=np.uint32).view(np.float32).tolist()
+
+
+@st.composite
+def phi_dicts(draw):
+    """A component record as the CLI writes it: raw endpoint channels and
+    their phi-ordered interval, whose values are bitwise copies of theirs."""
+    if draw(st.booleans()):
+        dtype, values = np.float64, st.one_of(
+            st.sampled_from(EDGE_FLOATS + NAN_PAYLOADS), st.integers(-3, 3).map(float), st.floats()
+        )
+    else:
+        dtype, values = np.float32, st.one_of(
+            st.sampled_from(EDGE_FLOAT32 + NAN32_PAYLOADS), st.floats(width=32)
+        )
+    n = draw(st.integers(1, 6))
+    a, b = (np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype) for _ in "ab")
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return {"index": n, "lo": lo, "hi": hi, "raw_a": a, "raw_b": b}
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=3), json_floats,
+    json_floats.map(np.float64), st.sampled_from(EDGE_FLOAT32).map(np.float32),
+)
+
+
+@st.composite
+def json_records(draw):
+    """Rows as an mc document holds them: dicts of scalars sharing their
+    keys in order; a later row may hold a list or change its key order."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    later = st.one_of(json_scalars, st.lists(json_floats, max_size=2))
+    rows = [dict(zip(keys, draw(st.lists(json_scalars, min_size=len(keys), max_size=len(keys)))))]
+    for _ in range(draw(st.integers(0, 4))):
+        row = dict(zip(keys, draw(st.lists(later, min_size=len(keys), max_size=len(keys)))))
+        rows.append(dict(reversed(row.items())) if draw(st.integers(0, 9)) == 0 else row)
+    return rows
+
+
 json_leaves = st.one_of(
+    phi_dicts(),
+    json_records(),
     st.none(),
     st.booleans(),
     st.integers(),
@@ -321,6 +368,20 @@ json_docs = st.recursive(
 @given(json_docs)
 def test_json_bytes_match_per_value_emitter(doc):
     assert json_dumps(doc) == json_dumps_loop(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--input", WEEKLY],
+        ["mc", "--scenario", "A", "--n-list", "20", "--m-list", "1,2", "--reps", "2"],
+    ],
+)
+def test_cli_documents_match_per_value_emitter(argv, tmp_path, monkeypatch):
+    docs = []
+    monkeypatch.setattr(cli, "write_json", lambda path, doc: docs.append(doc))
+    assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert json_dumps(docs[0]) == json_dumps_loop(docs[0])
 
 
 def run_cli(*args, cwd=None, as_bytes=False):
@@ -350,6 +411,29 @@ def wide_csv(tmp_path_factory):
 
 
 class TestCliBasics:
+    def test_parser_reuse_matches_fresh_calls(self, tmp_path, capsys):
+        """``main`` builds its parser once; every later call in the process
+        gives the exit code, output bytes and messages of a fresh one."""
+        calls = [
+            ["select", "--input", WEEKLY, "--max-m", "5"],
+            ["select", "--input", WEEKLY],
+            ["decompose", "--input", WEEKLY, "--grouping", "fixed:3"],
+            ["decompose", "--input", WEEKLY, "--grouping", "fixed:x"],
+            ["decompose", "--input", WEEKLY],
+        ]
+        for k, argv in enumerate(calls):
+            out = [str(tmp_path / f"{side}{k}.json") for side in ("main", "fresh")]
+            code = cli.main([*argv, "--out", out[0]])
+            err = capsys.readouterr().err
+            res = run_cli(*argv, "--out", out[1])
+            assert (code, err) == (res.returncode, res.stderr)
+            assert code == (5 if k == 3 else 0)
+            if code == 0:
+                with open(out[0], "rb") as a, open(out[1], "rb") as b:
+                    assert a.read() == b.read()
+        assert json.loads(open(tmp_path / "main0.json").read())["params"]["max_m"] == 5
+        assert json.loads(open(tmp_path / "main1.json").read())["params"]["max_m"] is None
+
     def test_version(self):
         res = run_cli("--version")
         assert res.returncode == 0

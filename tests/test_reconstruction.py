@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ivssa.decomposition
 import ivssa.spectral
 from ivssa import (
     Grouping,
@@ -213,6 +214,54 @@ class TestComponentChannels:
         for s in range(1, dec.n_series + 1):
             rows, cols = dec.series_block(s)
             assert mat.a[rows, cols].shape == (dec.window, dec.k)
+
+    @pytest.mark.parametrize(
+        "reads",
+        [
+            [(1,), (3,), (2,), range(1, 6)],
+            [range(1, 6), (4,), (1,), (5, 2)],
+            [(2, 2, 1), range(1, 4), range(1, 6)],
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["univariate", "vertical"])
+    def test_kept_rows_keep_their_bits(self, mode, reads):
+        """Rows are averaged once and kept; what a read returns does not
+        depend on the reads before it, on how they were batched, or on the
+        series read first."""
+        dec, _ = _fit(mode, make_rng(21))
+        fresh, _ = _fit(mode, make_rng(21))
+        for s in range(dec.n_series, 0, -1):
+            for indices in reads:
+                got = dec.component_channels(indices, s)
+                want = fresh.component_channels(range(1, 6), s)
+                for channel, all_rows in zip(got, want):
+                    assert channel.tobytes() == all_rows[[i - 1 for i in indices]].tobytes()
+
+    def test_returned_rows_are_copies(self):
+        dec, _ = _fit("univariate", make_rng(22))
+        first = dec.component_channels(range(1, 4))
+        want = [c.copy() for c in first]
+        for c in first:
+            c[:] = np.nan
+        for c, w in zip(dec.component_channels(range(1, 4)), want):
+            assert c.tobytes() == w.tobytes()
+
+    def test_readme_pipeline_averages_each_component_once(self, monkeypatch):
+        averaged = []
+        kernel = ivssa.decomposition._averaged
+
+        def record(u, *args):
+            averaged.append(len(u))
+            return kernel(u, *args)
+
+        monkeypatch.setattr(ivssa.decomposition, "_averaged", record)
+        y = structured_series(120, seed=5, noise=0.3)
+        dec = decompose(y)
+        sel = select_from_decomposition(dec, y)
+        assert sel.converged and sel.m >= 2
+        reconstruct_ercs(dec, sel.m)
+        trendline(dec, Grouping.leading(sel.m))
+        assert sum(averaged) == sel.m
 
     def test_bounds(self):
         dec, _ = _fit("vertical", make_rng(20))
