@@ -49,6 +49,15 @@ class CsvError(IvssaError):
         self.line = line
 
 
+def _integer(value, name: str) -> int:
+    """value as an int if it is an int or an integral float, else raise."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value}")
+
+
 def _as_float_grid(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):

@@ -17,9 +17,9 @@ eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
 fit computes only what is read (``_eigen_pairs``): block subspace
 iteration with Rayleigh-Ritz finds the leading eigenvectors up to a clear
 spectral gap j, whose eigenvalues lie provably above the rank cutoff, so
-every index up to j is known to be at most d.  The rank d itself (one
-Cholesky factorisation), the eigenvalues, the eigenvectors past the gap
-and their projections are computed on first read.
+every index up to j is known to be at most d.  The first read of d, of the
+eigenvalues or of an eigenvector past the gap runs one complete solve for
+all three, and the projections past the gap follow on first read.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import (
     PairMatrix,
     ParameterError,
     ShapeError,
+    _integer,
     channel_endpoints,
     symbolic_channels,
 )
@@ -48,9 +49,9 @@ DEFAULT_RANK_EPS = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 #: Rows of S from which a fit solves only for what is read.  On a series
-#: whose scan reads past the gap, the block iteration and the rank's
-#: Cholesky factorisation are wasted; below this size that waste outweighs
-#: the eigenpairs and projections it saves.
+#: whose scan reads past the gap, the block iteration is wasted beside the
+#: complete solve; below this size that waste outweighs the eigenpairs and
+#: projections it saves.
 _LAZY_ROWS = 400
 
 #: Block subspace iteration: columns of the block, the last _GUARD of
@@ -65,8 +66,8 @@ _PASSES = 12
 _PROJECTION_BLOCK = 32
 
 #: A gap value theta_j must exceed the rank cutoff by this many l * eps *
-#: trace S, which covers the rounding of the Ritz values and of
-#: ``eigvalsh``, so the rank d that ``_rank`` reports is at least j.
+#: trace S, which covers the rounding of the Ritz values and of the
+#: complete solve's ``eigh``, so the rank d that solve counts is at least j.
 _RANK_MARGIN = 16
 
 #: A Ritz pair (theta_i, x_i) up to a gap j has converged once
@@ -136,31 +137,48 @@ class EigenPairs:
     cutoff: the number of eigenvalues exceeding rank_eps * lambda_1.
 
     ``EigenPairs(values, vectors, d)`` holds a complete solve.  The pairs of
-    a large fit (see ``_eigen_pairs``) hold S and its leading eigenvectors
-    up to a spectral gap j <= d, and compute the rest on first read: ``d``
-    from ``_rank``, ``values`` from ``np.linalg.eigvalsh``, and ``vectors``
-    from one ``eigen_sym`` solve that supplies only the columns past the
-    gap.  All are kept, d outside the fields, and none changes the bits of
-    what was read before or any field but its own, so a column, a value or
-    d is the same whatever was read first.  ``leading(m)`` gives the first
-    m columns and solves for nothing it does not return; ``rank_bound(i)``
-    tells whether i <= d and reads d only past the gap.
+    a large fit (see ``_eigen_pairs``) hold S, rank_eps and S's leading
+    eigenvectors up to a spectral gap j <= d.  The first read of ``d``, of
+    ``values`` or of a column past j runs one ``eigen_sym`` of S and keeps
+    its values, its d and its columns past j after the known block, outside
+    the fields, so a read changes no field and each output is the same
+    whatever was read first.  ``leading(m)`` gives the first m columns and
+    solves for nothing it does not return; ``rank_bound(i)`` tells whether
+    i <= d and reads d only past the gap.
     """
 
     _known: np.ndarray
-    _values: np.ndarray | None
-    _vectors: np.ndarray | None
     _s: np.ndarray | None
-    _rank_args: tuple[float, float] | None
+    _rank_eps: float | None
 
-    def __init__(self, values: np.ndarray, vectors: np.ndarray, d: int):
-        _fill(self, _known=vectors[:, :d], _values=values, _vectors=vectors, _s=None,
-              _rank_args=None, d=d)
+    def __init__(self, values: np.ndarray | None, vectors: np.ndarray, d: int | None,
+                 s: np.ndarray | None = None, rank_eps: float | None = None):
+        """A complete solve, or, with S and rank_eps given and ``values``
+        and ``d`` None, S's leading eigenvectors ``vectors`` up to a gap."""
+        _fill(self, _known=vectors if d is None else vectors[:, :d], _s=s, _rank_eps=rank_eps)
+        if d is not None:
+            _fill(self, _solved=(values, vectors, d))
 
     @cached_property
+    def _solved(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(values, vectors, d) of the complete solve of S, whose columns
+        past the gap follow the known block."""
+        full = eigen_sym(self._s, self._rank_eps)
+        vectors = np.hstack((self._known, full.vectors[:, self._known.shape[1] :]))
+        vectors.flags.writeable = False
+        return full.values, vectors, full.d
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._solved[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._solved[1]
+
+    @property
     def d(self) -> int:
-        """The rank, set by a complete solve, else ``_rank`` on first read."""
-        return _rank(self._s, *self._rank_args)
+        return self._solved[2]
 
     def rank_bound(self, i: int) -> int:
         """A lower bound on d that is at least i when i <= d, so
@@ -168,21 +186,6 @@ class EigenPairs:
         columns, all within the rank, when it covers i, else d itself."""
         j = self._known.shape[1]
         return j if i <= j else self.d
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            _fill(self, _values=_eigenvalues(self._s))
-        return self._values
-
-    @property
-    def vectors(self) -> np.ndarray:
-        if self._vectors is None:
-            j = self._known.shape[1]
-            vectors = np.hstack((self._known, eigen_sym(self._s).vectors[:, j:]))
-            vectors.flags.writeable = False
-            _fill(self, _vectors=vectors)
-        return self._vectors
 
     def leading(self, m: int) -> np.ndarray:
         """The first m eigenvector columns, (rows, m)."""
@@ -271,16 +274,9 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors, d=int(d[0]))
 
 
-def _eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of S from ``np.linalg.eigvalsh``, read-only."""
-    values = np.linalg.eigvalsh(s)[::-1].copy()
-    values.flags.writeable = False
-    return values
-
-
-def _gap_block(s: np.ndarray, rank_eps: float) -> tuple[float, np.ndarray] | None:
-    """(theta_1, X): the leading eigenvectors of S up to its last clear
-    spectral gap within one block, sign-normalised, or None.
+def _gap_block(s: np.ndarray, rank_eps: float) -> np.ndarray | None:
+    """The leading eigenvectors of S up to its last clear spectral gap
+    within one block, sign-normalised, or None.
 
     Block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
     SIAM Review 2011), started from the _BLOCK columns of S with the
@@ -315,26 +311,9 @@ def _gap_block(s: np.ndarray, rank_eps: float) -> tuple[float, np.ndarray] | Non
                     lead = x[:, :j].copy()
                     _fix_signs(lead)
                     lead.flags.writeable = False
-                    return float(theta[0]), lead
+                    return lead
         x = sx
     return None
-
-
-def _rank(s: np.ndarray, theta1: float, rank_eps: float) -> int:
-    """Rank d of S.
-
-    A Cholesky factorisation of S - tau I, tau = rank_eps * theta_1, exists
-    only when every eigenvalue exceeds tau, which proves d = l.  When it
-    fails, d counts the ``eigvalsh`` eigenvalues as ``_checked_eigh`` counts
-    its own; they are not kept.
-    """
-    shifted = s.copy()
-    shifted.flat[:: len(s) + 1] -= rank_eps * theta1
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return int(_rank_of(_eigenvalues(s), rank_eps))
-    return len(s)
 
 
 def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
@@ -342,21 +321,16 @@ def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
 
     Below _LAZY_ROWS rows this is ``eigen_sym``.  A finite, exactly
     symmetric, nonzero S of at least that many keeps its leading
-    eigenvectors up to a spectral gap (``_gap_block``), and computes the
-    rest, the rank d from ``_rank`` included, on first read (see
-    ``EigenPairs``).  Any other S, or one without a converged gap, takes
+    eigenvectors up to a spectral gap (``_gap_block``), and runs the
+    complete solve for the rest on first read (see ``EigenPairs``).  Any other S, or one without a converged gap, takes
     ``eigen_sym``'s complete solve, which also raises its errors.
     """
     if len(s) >= _LAZY_ROWS:
         _check_rank_eps(rank_eps)
         if np.isfinite(s).all() and s.any() and np.array_equal(s, s.T):
-            found = _gap_block(s, rank_eps)
-            if found is not None:
-                theta1, lead = found
-                pairs = object.__new__(EigenPairs)
-                _fill(pairs, _known=lead, _values=None, _vectors=None, _s=s,
-                      _rank_args=(theta1, rank_eps))
-                return pairs
+            lead = _gap_block(s, rank_eps)
+            if lead is not None:
+                return EigenPairs(None, lead, None, s, rank_eps)
     return eigen_sym(s, rank_eps)
 
 
@@ -514,7 +488,7 @@ def decompose(
     """Univariate decomposition: embed, build S, eigendecompose."""
     if window is None:
         window = default_window(len(y))
-    return _build([y], int(window), StackingMode.UNIVARIATE, rank_eps)
+    return _build([y], _integer(window, "window"), StackingMode.UNIVARIATE, rank_eps)
 
 
 def decompose_stacked(
@@ -533,4 +507,4 @@ def decompose_stacked(
         raise ParameterError("univariate mode is only valid for a single series")
     if window is None:
         window = default_window(len(series[0]), len(series), mode)
-    return _build(series, int(window), mode, rank_eps)
+    return _build(series, _integer(window, "window"), mode, rank_eps)

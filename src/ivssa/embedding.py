@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import IntervalSeries, PairMatrix, ParameterError, ShapeError
+from .core import IntervalSeries, PairMatrix, ParameterError, ShapeError, _integer
 
 
 class StackingMode(enum.Enum):
@@ -59,7 +59,7 @@ def trajectory(y: IntervalSeries, window: int) -> PairMatrix:
     Entry (i, j) holds the ordered pair (lo[i+j], hi[i+j]) (0-based), so the
     result is Hankel by construction.
     """
-    window = int(window)
+    window = _integer(window, "window")
     k = trajectory_columns(len(y), window)
     return PairMatrix(_windows(y.lo, window, k), _windows(y.hi, window, k))
 
@@ -87,7 +87,7 @@ def stack(
         raise ParameterError("need at least one series to stack")
     if len(series) > 1 and mode is StackingMode.UNIVARIATE:
         raise ParameterError(f"mode {mode} requires a single series, got {len(series)}")
-    z = _embed([(s.lo, s.hi) for s in series], int(window), mode)
+    z = _embed([(s.lo, s.hi) for s in series], _integer(window, "window"), mode)
     half = z.shape[1] // 2
     return PairMatrix(z[:, :half], z[:, half:])
 

@@ -28,6 +28,7 @@ from .core import (
     InvalidValueError,
     ParameterError,
     VerticalityError,
+    _integer,
     phi_arrays,
     symbolic_channels,
 )
@@ -317,12 +318,12 @@ def select_params_oos(
         raise ParameterError(f"stride must be >= 1, got {stride}")
     if l_grid is None:
         l_grid = default_l_grid(n)
-    l_grid = tuple(sorted(set(int(v) for v in l_grid)))
+    l_grid = tuple(sorted(set(_integer(v, "a window grid entry") for v in l_grid)))
     if not l_grid or l_grid[0] < 2:
         raise ParameterError(f"window grid must contain integers >= 2: {l_grid}")
     if m_grid is None:
         m_grid = tuple(range(1, 9))
-    m_grid = tuple(sorted(set(int(v) for v in m_grid)))
+    m_grid = tuple(sorted(set(_integer(v, "an m grid entry") for v in m_grid)))
     if not m_grid or m_grid[0] < 1:
         raise ParameterError(f"m grid must contain integers >= 1: {m_grid}")
     if w0 is None:

@@ -308,13 +308,7 @@ def _emit_json(obj, out: list[str], level: int) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            out.append("null")
-            return
-        text = format(v, f".{JSON_DIGITS}g")
-        # keep integral values (0.0, 3.0) typed as floats when read back
-        out.append(text if "." in text or "e" in text else text + ".0")
+        out.append(_float_texts([float(obj)])[0])
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):

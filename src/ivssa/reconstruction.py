@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import IntervalSeries, ParameterError, phi_arrays
+from .core import IntervalSeries, ParameterError, _integer, phi_arrays
 from .decomposition import Decomposition
 
 
@@ -24,7 +24,7 @@ class Grouping:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_integer(i, "a component index") for i in self.indices)
         if len(idx) == 0:
             raise ParameterError("grouping must retain at least one component")
         if len(set(idx)) != len(idx):

@@ -21,6 +21,7 @@ from .core import (
     IvssaError,
     ParameterError,
     ShapeError,
+    _integer,
     phi_arrays,
 )
 from .decomposition import Decomposition, decompose, decompose_stacked
@@ -398,7 +399,7 @@ def run_monte_carlo(
             raise ParameterError(f"unknown scenario {s!r}; expected A or B")
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
-    if max_m is not None and max_m < 1:
+    if max_m is not None and _integer(max_m, "max_m") < 1:
         raise ParameterError(f"max_m must be >= 1, got {max_m}")
     ks_critical_value(alpha)  # raises for alpha outside (0, 1), nan included
     methods = tuple(methods)
@@ -408,9 +409,9 @@ def run_monte_carlo(
             raise ParameterError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_integer(n, "an n list entry") for n in n_list)
     _distinct("n list", n_list)
-    m_list = tuple(sorted(set(int(m) for m in m_list)))
+    m_list = tuple(sorted(set(_integer(m, "an m list entry") for m in m_list)))
     if not m_list or m_list[0] < 1:
         raise ParameterError(f"m list must contain integers >= 1: {m_list}")
     tasks = [

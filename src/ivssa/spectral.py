@@ -21,6 +21,7 @@ from .core import (
     IntervalSeries,
     ParameterError,
     ShapeError,
+    _integer,
     phi_arrays,
     symbolic_channels,
 )
@@ -173,7 +174,7 @@ def select_from_decomposition(
             f"series length {len(y)} does not match decomposition length "
             f"{dec.series_length}"
         )
-    cap = DEFAULT_MAX_M if max_m is None else int(max_m)
+    cap = DEFAULT_MAX_M if max_m is None else _integer(max_m, "max_m")
     if cap < 1:
         raise ParameterError(f"max_m must be >= 1, got {max_m}")
     crit = ks_critical_value(alpha)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -52,6 +53,36 @@ def structured_series(n: int, seed: int = 0, noise: float = 0.1) -> IntervalSeri
     lo = mid - 1 + noise * rng.standard_normal(n)
     hi = mid + 1 + noise * rng.standard_normal(n)
     return IntervalSeries(np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def long_shaped(n: int, seed: int) -> IntervalSeries:
+    """Trend, one cycle of period 100 and white endpoint noise: a clear
+    spectral gap after the third component."""
+    rng = make_rng(seed)
+    t = np.arange(n)
+    mid = (
+        20.0
+        + 0.004 * t
+        + 3.0 * np.sin(2 * np.pi * t / 100.0 + rng.uniform(0.0, 2 * np.pi))
+        + rng.normal(0.0, 0.5, n)
+    )
+    half = 1.0 + rng.uniform(0.0, 0.2, n)
+    return IntervalSeries(mid - half, mid + half)
+
+
+def weekly_shaped(n: int, seed: int) -> IntervalSeries:
+    """Weekly low/high prices, a log-random walk with drift and an annual
+    swing: a gap after the level, then a slowly falling spectrum."""
+    rng = make_rng(seed)
+    t = np.arange(n)
+    mid = np.exp(
+        math.log(850.0)
+        + 0.004 * t
+        + 0.06 * np.sin(2 * np.pi * t / 52.0)
+        + np.cumsum(rng.normal(0.0, 0.025, n))
+    )
+    half = mid * (0.01 + rng.uniform(0.0, 0.035, n))
+    return IntervalSeries(mid - half, mid + half)
 
 
 def assert_compares_by_identity(make) -> None:

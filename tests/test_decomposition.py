@@ -33,13 +33,22 @@ from ivssa import (
 from helpers import (
     assert_compares_by_identity,
     child_env,
+    long_shaped,
     make_rng,
     random_pair_matrix,
     random_series,
     structured_series,
+    weekly_shaped,
 )
+from ivssa import decomposition
 from ivssa.core import symbolic_channels
-from ivssa.decomposition import _LAZY_ROWS, DEFAULT_RANK_EPS, _averaged, _checked_eigh
+from ivssa.decomposition import (
+    _LAZY_ROWS,
+    DEFAULT_RANK_EPS,
+    _averaged,
+    _checked_eigh,
+    _gap_block,
+)
 from ivssa.embedding import _embed
 from ivssa.io import write_series_csv
 from oracles import decompose_full, symbolic_cov_loop, symbolic_cross_cov_loop
@@ -280,6 +289,29 @@ class TestDecompose:
             with pytest.raises(ParameterError, match="at least one series"):
                 decompose_stacked([], mode=mode)
 
+    def test_non_integral_window_rejected(self):
+        # truncating would fit 5.7 at l = 5
+        rng = make_rng(19)
+        y = random_series(rng, 20)
+        xs = [random_series(rng, 20) for _ in range(2)]
+        for window in (5.7, np.float64(5.5), math.nan):
+            message = f"window must be an integer, got {window}"
+            with pytest.raises(ParameterError, match=message):
+                decompose(y, window)
+            with pytest.raises(ParameterError, match=message):
+                decompose_stacked(xs, window)
+
+    def test_integral_window_types_accepted(self):
+        rng = make_rng(20)
+        y = random_series(rng, 20)
+        xs = [random_series(rng, 20) for _ in range(2)]
+        want, want_stacked = decompose(y, 5), decompose_stacked(xs, 5)
+        for window in (5.0, np.int64(5), np.float64(5.0)):
+            dec, stacked = decompose(y, window), decompose_stacked(xs, window)
+            assert type(dec.window) is int and type(stacked.window) is int
+            assert np.array_equal(dec.eig.values, want.eig.values)
+            assert np.array_equal(stacked.eig.values, want_stacked.eig.values)
+
     def test_degenerate_matches_classical_eigenvalues(self):
         rng = make_rng(18)
         vals = rng.standard_normal(30)
@@ -292,45 +324,17 @@ class TestDecompose:
         assert np.allclose(dec.eig.values, sing**2, rtol=1e-10, atol=1e-10)
 
 
-def long_shaped(n: int, seed: int) -> IntervalSeries:
-    """Trend, one cycle of period 100 and white endpoint noise: a clear
-    spectral gap after the third component."""
-    rng = make_rng(seed)
-    t = np.arange(n)
-    mid = (
-        20.0
-        + 0.004 * t
-        + 3.0 * np.sin(2 * np.pi * t / 100.0 + rng.uniform(0.0, 2 * np.pi))
-        + rng.normal(0.0, 0.5, n)
-    )
-    half = 1.0 + rng.uniform(0.0, 0.2, n)
-    return IntervalSeries(mid - half, mid + half)
+def count_solves(monkeypatch) -> list:
+    """The matrices that ``ivssa.decomposition`` passes to ``eigen_sym``
+    from now on, one per complete solve."""
+    solved = []
 
+    def counted(s, *args, **kwargs):
+        solved.append(s)
+        return eigen_sym(s, *args, **kwargs)
 
-def weekly_shaped(n: int, seed: int) -> IntervalSeries:
-    """Weekly low/high prices, a log-random walk with drift and an annual
-    swing: a gap after the level, then a slowly falling spectrum."""
-    rng = make_rng(seed)
-    t = np.arange(n)
-    mid = np.exp(
-        math.log(850.0)
-        + 0.004 * t
-        + 0.06 * np.sin(2 * np.pi * t / 52.0)
-        + np.cumsum(rng.normal(0.0, 0.025, n))
-    )
-    half = mid * (0.01 + rng.uniform(0.0, 0.035, n))
-    return IntervalSeries(mid - half, mid + half)
-
-
-def count_calls(monkeypatch, *names: str) -> dict:
-    """Counts of the calls to the named ``np.linalg`` functions from now on."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+    monkeypatch.setattr(decomposition, "eigen_sym", counted)
+    return solved
 
 
 def field_digest(obj) -> str:
@@ -437,18 +441,50 @@ class TestLargeFits:
         assert dec.eig._s is not None and dec.eig._known.shape[1] == 3
         assert_matches_complete_solve(dec, decompose_full(series, window, mode=mode))
 
-    def test_gap_path_reads_past_the_gap(self):
-        # the long shape has its gap after three components; a read past it
-        # solves for the rest, and the leading columns keep their bits
+    def test_gap_path_reads_past_the_gap(self, monkeypatch):
+        # the long shape has its gap after three components; the fit solves
+        # nothing more until a read past it, which runs the one complete
+        # solve that also gives d and the eigenvalues, and the leading
+        # columns keep their bits
+        solves = count_solves(monkeypatch)
         y = long_shaped(2 * _LAZY_ROWS + 9, seed=1)
         dec = decompose(y, _LAZY_ROWS)
         eig = dec.eig
         assert eig._s is not None and eig._known.shape[1] == 3
-        assert eig._values is None and eig._vectors is None and dec.d == _LAZY_ROWS
+        assert "_solved" not in vars(eig) and solves == []
         known = eig.leading(3).copy()
         dec.component_channels((4,))
+        assert len(solves) == 1
         assert np.array_equal(eig.vectors[:, :3], known)
-        assert eig._values is None  # the eigenvalues are still unread
+        assert dec.d == _LAZY_ROWS and eig.values.size == _LAZY_ROWS
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("first", ["d", "values", "past_gap", "vectors"])
+    def test_one_complete_solve_whatever_is_read_first(self, monkeypatch, first):
+        # d, the eigenvalues and the columns past the gap are those of one
+        # eigen_sym of S, bit for bit, and the gap block keeps its own
+        solves = count_solves(monkeypatch)
+        y = long_shaped(2 * _LAZY_ROWS + 9, seed=2)
+        dec = decompose(y, _LAZY_ROWS)
+        eig = dec.eig
+        j = eig._known.shape[1]
+        assert eig._s is not None and solves == []
+        reads = {
+            "d": lambda: dec.d,
+            "values": lambda: eig.values,
+            "past_gap": lambda: dec.component_channels((j + 1,)),
+            "vectors": lambda: eig.vectors,
+        }
+        reads[first]()
+        assert len(solves) == 1 and solves[0] is eig._s
+        for read in reads.values():
+            read()
+        assert len(solves) == 1
+        want = eigen_sym(eig._s)
+        assert dec.d == want.d
+        assert np.array_equal(eig.values, want.values)
+        assert np.array_equal(eig.vectors[:, j:], want.vectors[:, j:])
+        assert np.array_equal(eig.vectors[:, :j], _gap_block(eig._s, DEFAULT_RANK_EPS))
 
     def test_bits_independent_of_read_order(self):
         y = long_shaped(2 * _LAZY_ROWS + 9, seed=2)
@@ -473,13 +509,12 @@ class TestLargeFits:
         third.eig.values
         third.component_channels((j + 40,))
         third_channels = third.component_channels(indices)
-        # d never read: only the gap components, the weights and the pairs
+        # the eigenpairs, then only the gap components and the weights
         fourth = decompose(y, _LAZY_ROWS)
         fourth.eig.vectors
         fourth.eig.values
         fourth_lead = fourth.component_channels(range(1, j + 1))
         fourth_alpha = recurrence_coefficients(fourth.eig, Grouping.leading(j)).alpha
-        assert "d" not in vars(fourth.eig)
         assert np.array_equal(fourth_lead[0], lead[0])
         assert np.array_equal(fourth_lead[1], lead[1])
         assert np.array_equal(fourth_alpha, first_alpha)
@@ -493,10 +528,10 @@ class TestLargeFits:
             assert np.array_equal(dec.eig.values, first.eig.values)
             assert dec.d == d
 
-    @pytest.mark.parametrize("sine_only", [False, True], ids=["cholesky", "eigvalsh"])
+    @pytest.mark.parametrize("sine_only", [False, True], ids=["full_rank", "rank_three"])
     def test_reading_d_changes_no_field(self, sine_only):
-        # d is kept outside the fields, and the eigenvalues that count it
-        # when the Cholesky factorisation fails are not kept
+        # the complete solve that d, the eigenvalues and the eigenvectors
+        # come from is kept outside the fields
         if sine_only:
             s = np.sin(2 * np.pi * np.arange(2 * _LAZY_ROWS) / 40.0)
             y = IntervalSeries(s, s + 1.0)
@@ -506,12 +541,14 @@ class TestLargeFits:
         assert dec.eig._s is not None
         before = field_digest(dec)
         assert dec.d == (3 if sine_only else _LAZY_ROWS)
+        dec.eig.values
+        dec.eig.vectors
         assert field_digest(dec) == before
 
     def test_pipeline_within_the_gap_solves_nothing(self, monkeypatch):
         # the README pipeline on a fit whose scan stops inside the gap block
-        # never factors S or counts its eigenvalues
-        calls = count_calls(monkeypatch, "cholesky", "eigvalsh")
+        # never runs the complete solve
+        solves = count_solves(monkeypatch)
         y = long_shaped(2 * _LAZY_ROWS - 1, seed=7)
         dec = decompose(y)
         sel = select_from_decomposition(dec, y)
@@ -520,7 +557,7 @@ class TestLargeFits:
         trend = trendline(dec, grouping)[0]
         forecast_recurrent(trend, recurrence_coefficients(dec.eig, grouping), 10)
         assert dec.window == _LAZY_ROWS and sel.m <= dec.eig._known.shape[1]
-        assert calls == {"cholesky": 0, "eigvalsh": 0}
+        assert solves == []
         ref = decompose_full(y)
         assert dec.d == ref.d and sel.m == select_from_decomposition(ref, y).m
         want = trendline(ref, grouping)[0]
@@ -557,16 +594,19 @@ class TestLargeFits:
         assert dec.d == decompose_full(y, _LAZY_ROWS, rank_eps=rank_eps).d == 3
 
     def test_rank_deficient_covariance_exact_rank(self, monkeypatch):
-        # a pure sine with a constant radius spans three directions, so the
-        # Cholesky factorisation fails and eigvalsh counts d
+        # a pure sine with a constant radius spans three directions: the one
+        # complete solve counts d = 3, and its eigenvalues are the ones kept
         t = np.arange(2 * _LAZY_ROWS)
         s = np.sin(2 * np.pi * t / 40.0)
         y = IntervalSeries(s, s + 1.0)
         dec = decompose(y, _LAZY_ROWS)
         assert dec.eig._s is not None
-        calls = count_calls(monkeypatch, "eigvalsh")
-        assert dec.d == decompose_full(y, _LAZY_ROWS).d == 3
-        assert calls == {"eigvalsh": 1} and dec.eig._values is None
+        want = eigen_sym(dec.eig._s)
+        solves = count_solves(monkeypatch)
+        assert dec.d == want.d == 3
+        assert np.array_equal(dec.eig.values, want.values)
+        assert len(solves) == 1
+        assert decompose_full(y, _LAZY_ROWS).d == 3
 
     def test_rank_eps_zero(self):
         y = long_shaped(2 * _LAZY_ROWS - 1, seed=3)

@@ -40,6 +40,12 @@ class TestTrajectory:
         with pytest.raises(ParameterError):
             trajectory(y, window)
 
+    def test_non_integral_window_rejected(self):
+        y = random_series(make_rng(1), 10)
+        with pytest.raises(ParameterError, match="window must be an integer, got 2.5"):
+            trajectory(y, 2.5)
+        assert np.array_equal(trajectory(y, 3.0).a, trajectory(y, 3).a)
+
     def test_window_extremes_ok(self):
         y = random_series(make_rng(2), 10)
         assert trajectory(y, 2).a.shape == (2, 9)

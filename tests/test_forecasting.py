@@ -360,6 +360,20 @@ class TestSelectParamsOos:
             select_params_oos(y, l_grid=(1,), p=5)
         with pytest.raises(ParameterError):
             select_params_oos(y, m_grid=(0,), p=5)
+        # non-integral grid entries are rejected, not truncated (10.5 -> 10)
+        with pytest.raises(ParameterError, match="window grid entry must be an integer, got 10.5"):
+            select_params_oos(y, l_grid=(8, 10.5), p=5)
+        with pytest.raises(ParameterError, match="m grid entry must be an integer, got 2.5"):
+            select_params_oos(y, m_grid=(1, 2.5), p=5)
+
+    def test_integral_grid_types_accepted(self):
+        y = structured_series(40, seed=4)
+        want = select_params_oos(y, l_grid=(8, 10), m_grid=(1, 2), p=5)
+        got = select_params_oos(y, l_grid=(8.0, np.int64(10)), m_grid=(1.0, np.int32(2)), p=5)
+        assert got.l_grid == want.l_grid and got.m_grid == want.m_grid
+        assert all(type(v) is int for v in got.l_grid + got.m_grid)
+        assert (got.window, got.m) == (want.window, want.m)
+        assert np.array_equal(got.objective, want.objective)
 
 
 def window_args(y, window, w0, p, stride, m_grid):

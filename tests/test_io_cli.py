@@ -20,6 +20,8 @@ from ivssa import (
     ParameterError,
     ScenarioConfig,
     ShapeError,
+    decompose,
+    eigen_sym,
     json_dumps,
     read_csv,
     select_components,
@@ -29,7 +31,7 @@ from ivssa import (
     write_table_csv,
 )
 from ivssa.io import atomic_write_text
-from helpers import child_env, structured_series
+from helpers import child_env, long_shaped, structured_series
 from oracles import json_dumps_loop
 
 
@@ -603,6 +605,25 @@ class TestCliDecompose:
     def test_format_csv_without_out(self, sample_csv):
         res = run_cli("decompose", "--input", sample_csv, "--format", "csv")
         assert res.returncode == 5
+
+
+class TestCliLargeFit:
+    def test_document_is_one_complete_solve(self, tmp_path):
+        # a 1000-row file fits at l = 501, a large fit: the document's d and
+        # eigenvalues are those of one eigen_sym of the fit's S, and a fresh
+        # process writes the same bytes
+        path = str(tmp_path / "long.csv")
+        write_series_csv(path, long_shaped(1000, seed=11))
+        runs = [run_cli("decompose", "--input", path, as_bytes=True) for _ in range(2)]
+        for res in runs:
+            assert res.returncode == 0, res.stderr
+        assert runs[0].stdout == runs[1].stdout
+        doc = json.loads(runs[0].stdout)
+        dec = decompose(read_csv(path)[0])
+        assert doc["params"]["window"] == dec.window == 501 and dec.eig._s is not None
+        want = eigen_sym(dec.eig._s)
+        assert doc["d"] == want.d
+        assert doc["eigenvalues"] == want.values.tolist()
 
 
 class TestCliSelect:

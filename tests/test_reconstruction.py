@@ -49,6 +49,10 @@ class TestGrouping:
         with pytest.raises(ParameterError):
             Grouping((1, 5)).validate(4)
         Grouping((1, 5)).validate(5)
+        # truncating would retain component 1 for 1.5
+        with pytest.raises(ParameterError, match="component index must be an integer, got 1.5"):
+            Grouping((1.5, 2))
+        assert Grouping((np.int64(1), 2.0)).indices == (1, 2)
 
 
 class TestDiagonalAveraging:

@@ -240,6 +240,24 @@ class TestRunMonteCarlo:
                 run_monte_carlo(reps=1, alpha=alpha)
         with pytest.raises(ParameterError, match="repeat"):
             run_monte_carlo(methods=("ivssa", "ivssa"), reps=1)
+        # non-integral sizes are rejected up front, not truncated
+        with pytest.raises(ParameterError, match="n list entry must be an integer, got 40.5"):
+            run_monte_carlo(n_list=(40.5,), reps=1)
+        with pytest.raises(ParameterError, match="m list entry must be an integer, got 1.5"):
+            run_monte_carlo(m_list=(1.5, 2), reps=1)
+        with pytest.raises(ParameterError, match="max_m must be an integer, got 2.5"):
+            run_monte_carlo(reps=1, max_m=2.5)
+
+    def test_integral_size_types_accepted(self, small_report):
+        rep = run_monte_carlo(
+            scenarios="A",
+            n_list=(40.0,),
+            m_list=(np.int64(1), 2.0, 3),
+            reps=3,
+            base_seed=7,
+            max_m=40.0,
+        )
+        assert rep.to_dict() == small_report.to_dict()
 
     # a repeated n or scenario would duplicate every summary record of its
     # cells and count twice the replications as failed (hr_x_failed = -2 at

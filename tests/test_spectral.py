@@ -173,6 +173,17 @@ class TestSelection:
             with pytest.raises(ParameterError, match=f"got {bad}"):
                 select_components(y, max_m=bad)
 
+    def test_non_integral_max_m_rejected(self):
+        # truncating would scan to 2
+        y = structured_series(100, seed=7, noise=0.0)
+        dec = decompose(y)
+        with pytest.raises(ParameterError, match="max_m must be an integer, got 2.5"):
+            select_from_decomposition(dec, y, max_m=2.5)
+        want = select_from_decomposition(dec, y, max_m=2)
+        for cap in (2.0, np.int64(2)):
+            got = select_from_decomposition(dec, y, max_m=cap)
+            assert (got.m, got.ks_trace) == (want.m, want.ks_trace)
+
     def test_alpha_orders_acceptance(self):
         # smaller alpha raises the critical value, so whiteness is accepted
         # no later than under a larger alpha
