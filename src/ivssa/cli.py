@@ -25,6 +25,7 @@ from .core import (
     ParameterError,
     ShapeError,
     VerticalityError,
+    _integer,
     phi_arrays,
 )
 from .decomposition import DEFAULT_RANK_EPS, decompose_stacked
@@ -77,9 +78,7 @@ def _parse_grouping(text: str) -> tuple[str, int | None]:
             raise ParameterError(
                 f"--grouping fixed:M expects an integer M, got {raw!r}"
             ) from None
-        if m < 1:
-            raise ParameterError(f"--grouping fixed:M needs M >= 1, got {m}")
-        return "fixed", m
+        return "fixed", _integer(m, "--grouping fixed:M", 1)
     raise ParameterError(
         f"--grouping expects periodogram, fixed:M or oos, got {text!r}"
     )
@@ -201,10 +200,7 @@ def _group_size(args, kind, fixed_m, dec, oos, y, series_index=1):
             dec, y, series_index=series_index, alpha=args.alpha, max_m=args.max_m
         )
         return sel.m, _selection_doc(sel)
-    if kind == "fixed":
-        Grouping.leading(fixed_m).validate(dec.eig.rank_bound(fixed_m))
-        return fixed_m, None
-    return oos.m, None
+    return (fixed_m if kind == "fixed" else oos.m), None
 
 
 def cmd_decompose(args) -> None:

@@ -49,13 +49,17 @@ class CsvError(IvssaError):
         self.line = line
 
 
-def _integer(value, name: str) -> int:
-    """value as an int if it is an int or an integral float, else raise."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ParameterError(f"{name} must be an integer, got {value}")
+def _integer(value, name: str, low: int | None = None) -> int:
+    """value as an int if it is an int or an integral float at least
+    ``low`` (when given), else raise naming the parameter.  An int never
+    passes through float(), so one beyond float range is checked too."""
+    if not isinstance(value, (int, np.integer)) and not (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    ):
+        raise ParameterError(f"{name} must be an integer, got {value}")
+    if low is not None and int(value) < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def _as_float_grid(values, name: str) -> np.ndarray:

@@ -143,8 +143,8 @@ class EigenPairs:
     its values, its d and its columns past j after the known block, outside
     the fields, so a read changes no field and each output is the same
     whatever was read first.  ``leading(m)`` gives the first m columns and
-    solves for nothing it does not return; ``rank_bound(i)`` tells whether
-    i <= d and reads d only past the gap.
+    solves for nothing it does not return; ``within_rank(i)`` tells whether
+    1 <= i <= d and reads d only past the gap.
     """
 
     _known: np.ndarray
@@ -180,12 +180,10 @@ class EigenPairs:
     def d(self) -> int:
         return self._solved[2]
 
-    def rank_bound(self, i: int) -> int:
-        """A lower bound on d that is at least i when i <= d, so
-        ``i <= rank_bound(i)`` tests i <= d: the count of known leading
-        columns, all within the rank, when it covers i, else d itself."""
-        j = self._known.shape[1]
-        return j if i <= j else self.d
+    def within_rank(self, i: int) -> bool:
+        """Whether 1 <= i <= d.  The known leading columns all lie within
+        the rank, so d is read only for an i past them."""
+        return 1 <= i and (i <= self._known.shape[1] or i <= self.d)
 
     def leading(self, m: int) -> np.ndarray:
         """The first m eigenvector columns, (rows, m)."""
@@ -198,6 +196,14 @@ _UNDERFLOW = (
     "covariance of a nonzero series is zero; it underflows float64 "
     "when the series values are too small"
 )
+
+
+def _component_index(eig: EigenPairs, i) -> int:
+    """The 1-based component i as an int, if it is an integer within the rank of eig."""
+    i = _integer(i, "a component index")
+    if not eig.within_rank(i):
+        raise ParameterError(f"component must lie in [1, {eig.d}], got {i}")
+    return i
 
 
 def _check_rank_eps(rank_eps: float) -> None:
@@ -434,8 +440,7 @@ class Decomposition:
         new = [i for i in dict.fromkeys(indices) if i not in kept]
         u, mid, radius = [], [], []
         for i in new:
-            if not 1 <= i <= self.eig.rank_bound(i):
-                raise ParameterError(f"component must lie in [1, {self.d}], got {i}")
+            i = _component_index(self.eig, i)
             u.append(self.eig.leading(i)[rows, i - 1])
             wc, wr = self._projections(i - 1)
             mid.append(wc[cols])
@@ -462,7 +467,7 @@ def _build(
     eigenvectors known so far."""
     z = _embed([symbolic_channels(y.lo, y.hi) for y in series], window, mode)
     eig = _eigen_pairs(_symmetric_product(z), rank_eps)
-    has_rank = 1 <= eig.rank_bound(1)  # d >= 1, which a gap block proves
+    has_rank = eig.within_rank(1)  # d >= 1, which a gap block proves
     if not has_rank and any(y.lo.any() or y.hi.any() for y in series):
         raise InvalidValueError(_UNDERFLOW)
     n = len(series[0])

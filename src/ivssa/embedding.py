@@ -95,11 +95,8 @@ def stack(
 def default_window(n: int, n_series: int = 1, mode: StackingMode = StackingMode.UNIVARIATE) -> int:
     """Default window length: ceil((n+1)/2) univariate, ceil((n+1)/(D+1))
     vertical, ceil(D(n+1)/(D+1)) horizontal; clamped to the valid range [2, n-1]."""
-    if n < 3:
-        raise ParameterError(f"need n >= 3 for any window, got {n}")
-    if n_series < 1:
-        raise ParameterError(f"series count must be >= 1, got {n_series}")
-    d = n_series
+    n = _integer(n, "series length n", 3)
+    d = _integer(n_series, "series count", 1)
     if mode is StackingMode.UNIVARIATE:
         raw = math.ceil((n + 1) / 2)
     elif mode is StackingMode.VERTICAL:

@@ -36,6 +36,7 @@ from .decomposition import (
     DEFAULT_RANK_EPS,
     EigenPairs,
     _averaged,
+    _component_index,
     _checked_eigh,
     _symmetric_product,
 )
@@ -103,7 +104,7 @@ def recurrence_coefficients(
     eigenspace with ||pi||^2 ~ 1 contains the last coordinate axis and
     admits no recurrence.
     """
-    grouping.validate(eig.rank_bound(max(grouping.indices)))
+    _component_index(eig, max(grouping.indices))
     idx = np.asarray(grouping.indices, dtype=int) - 1
     u = eig.leading(idx.max() + 1)
     if u.shape[0] < 2:
@@ -147,8 +148,7 @@ def forecast_recurrent(
     Every step orders the two channel predictions into an interval and feeds
     the ordered endpoints back into the recursion state.
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    horizon = _integer(horizon, "horizon", 1)
     order = coef.order
     if len(trend) < order:
         raise ParameterError(
@@ -163,8 +163,7 @@ def forecast_recurrent(
 
 def default_l_grid(n: int) -> tuple[int, ...]:
     """Candidate windows ceil(n/5), ceil(n/4), ceil(n/3), ceil(n/2)."""
-    if n < 4:
-        raise ParameterError(f"series too short for a window grid: n = {n}")
+    n = _integer(n, "series length n", 4)
     grid = {max(2, -(-n // div)) for div in (5, 4, 3, 2)}
     return tuple(sorted(grid))
 
@@ -312,26 +311,17 @@ def select_params_oos(
     candidate windows run one after another, one ``run_tasks`` task each.
     """
     n = len(y)
-    if p < 1:
-        raise ParameterError(f"horizon p must be >= 1, got {p}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    p = _integer(p, "horizon p", 1)
+    stride = _integer(stride, "stride", 1)
     if l_grid is None:
         l_grid = default_l_grid(n)
-    l_grid = tuple(sorted(set(_integer(v, "a window grid entry") for v in l_grid)))
-    if not l_grid or l_grid[0] < 2:
-        raise ParameterError(f"window grid must contain integers >= 2: {l_grid}")
+    l_grid = tuple(sorted({_integer(v, "a window grid entry", 2) for v in l_grid}))
     if m_grid is None:
         m_grid = tuple(range(1, 9))
-    m_grid = tuple(sorted(set(_integer(v, "an m grid entry") for v in m_grid)))
-    if not m_grid or m_grid[0] < 1:
-        raise ParameterError(f"m grid must contain integers >= 1: {m_grid}")
-    if w0 is None:
-        w0 = max(l_grid) + 1
-    if w0 <= max(l_grid):
-        raise ParameterError(
-            f"w0 = {w0} must exceed the largest candidate window {max(l_grid)}"
-        )
+    m_grid = tuple(sorted({_integer(v, "an m grid entry", 1) for v in m_grid}))
+    if not l_grid or not m_grid:
+        raise ParameterError("the window and m grids must not be empty")
+    w0 = max(l_grid) + 1 if w0 is None else _integer(w0, "w0", max(l_grid) + 1)
     if w0 + p > n:
         raise ParameterError(
             f"first fit length w0 = {w0} plus horizon {p} exceeds n = {n}"

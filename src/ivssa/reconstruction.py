@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import IntervalSeries, ParameterError, _integer, phi_arrays
-from .decomposition import Decomposition
+from .decomposition import Decomposition, _component_index
 
 
 @dataclass(frozen=True)
@@ -24,27 +24,17 @@ class Grouping:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(_integer(i, "a component index") for i in self.indices)
+        idx = tuple(_integer(i, "a component index", 1) for i in self.indices)
         if len(idx) == 0:
             raise ParameterError("grouping must retain at least one component")
         if len(set(idx)) != len(idx):
             raise ParameterError(f"grouping has duplicate indices: {idx}")
-        if min(idx) < 1:
-            raise ParameterError(f"component indices are 1-based, got {min(idx)}")
         object.__setattr__(self, "indices", idx)
 
     @classmethod
     def leading(cls, m: int) -> "Grouping":
         """The prefix grouping {1, ..., m}."""
-        if m < 1:
-            raise ParameterError(f"leading grouping needs m >= 1, got {m}")
-        return cls(tuple(range(1, m + 1)))
-
-    def validate(self, d: int) -> None:
-        if max(self.indices) > d:
-            raise ParameterError(
-                f"grouping index {max(self.indices)} exceeds rank d={d}"
-            )
+        return cls(tuple(range(1, _integer(m, "m", 1) + 1)))
 
 
 def trendline(
@@ -61,7 +51,7 @@ def trendline(
         )
     out = []
     for s, g in enumerate(groupings, start=1):
-        g.validate(dec.eig.rank_bound(max(g.indices)))
+        _component_index(dec.eig, max(g.indices))
         ca, cb = dec.component_channels(g.indices, s)
         lo, hi = phi_arrays(np.cumsum(ca, axis=0)[-1], np.cumsum(cb, axis=0)[-1])
         out.append(IntervalSeries(lo, hi))
@@ -84,8 +74,7 @@ class ErcSet:
 def reconstruct_ercs(dec: Decomposition, count: int) -> ErcSet:
     """Diagonal-average each of the first ``count`` components, per series
     for stacked decompositions."""
-    if not 1 <= count <= dec.eig.rank_bound(count):
-        raise ParameterError(f"count must lie in [1, {dec.d}], got {count}")
+    count = _component_index(dec.eig, count)
     channels = [
         dec.component_channels(range(1, count + 1), s)
         for s in range(1, dec.n_series + 1)

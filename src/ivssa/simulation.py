@@ -45,8 +45,8 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ParameterError(f"need n >= 4, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "n", 4))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if self.sigma2 < 0.0:
             raise ParameterError(f"sigma2 must be >= 0, got {self.sigma2}")
         if abs(self.rho) > self.sigma2:
@@ -199,7 +199,7 @@ def _mc_replication(args) -> tuple[list[McRow], list[McSelectionRow]]:
             fits = []
         # a row's HRs need m within the rank of every fit of the method
         m_top = max(
-            (m for m in m_list if fits and all(m <= f.eig.rank_bound(m) for f, _ in fits)),
+            (m for m in m_list if fits and all(f.eig.within_rank(m) for f, _ in fits)),
             default=0,
         )
         hrs = [
@@ -397,10 +397,10 @@ def run_monte_carlo(
     for s in scenarios:
         if s not in ("A", "B"):
             raise ParameterError(f"unknown scenario {s!r}; expected A or B")
-    if reps < 1:
-        raise ParameterError(f"reps must be >= 1, got {reps}")
-    if max_m is not None and _integer(max_m, "max_m") < 1:
-        raise ParameterError(f"max_m must be >= 1, got {max_m}")
+    reps = _integer(reps, "reps", 1)
+    base_seed = _integer(base_seed, "base_seed", 0)
+    if max_m is not None:
+        max_m = _integer(max_m, "max_m", 1)
     ks_critical_value(alpha)  # raises for alpha outside (0, 1), nan included
     methods = tuple(methods)
     _distinct("methods", methods)
@@ -411,9 +411,9 @@ def run_monte_carlo(
             )
     n_list = tuple(_integer(n, "an n list entry") for n in n_list)
     _distinct("n list", n_list)
-    m_list = tuple(sorted(set(_integer(m, "an m list entry") for m in m_list)))
-    if not m_list or m_list[0] < 1:
-        raise ParameterError(f"m list must contain integers >= 1: {m_list}")
+    m_list = tuple(sorted({_integer(m, "an m list entry", 1) for m in m_list}))
+    if not m_list:
+        raise ParameterError("m list must not be empty")
     tasks = [
         (scenario, n, rep, base_seed + rep, m_list, methods, alpha, max_m)
         for scenario in scenarios

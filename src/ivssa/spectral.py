@@ -163,7 +163,7 @@ def select_from_decomposition(
     Scans prefixes I = {1..i}: reconstructs the trendline of the given
     series, tests its residuals, and stops at the first accepted i.
     """
-    if dec.eig.rank_bound(1) < 1:
+    if not dec.eig.within_rank(1):
         raise ParameterError("decomposition has rank zero; nothing to select")
     if not 1 <= series_index <= dec.n_series:
         raise ParameterError(
@@ -174,14 +174,12 @@ def select_from_decomposition(
             f"series length {len(y)} does not match decomposition length "
             f"{dec.series_length}"
         )
-    cap = DEFAULT_MAX_M if max_m is None else _integer(max_m, "max_m")
-    if cap < 1:
-        raise ParameterError(f"max_m must be >= 1, got {max_m}")
+    cap = DEFAULT_MAX_M if max_m is None else _integer(max_m, "max_m", 1)
     crit = ks_critical_value(alpha)
     scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
     trace: list[float] = []
     for i in range(1, cap + 1):
-        if i > dec.eig.rank_bound(i):  # the scan stops at d, read only past the gap
+        if not dec.eig.within_rank(i):  # the scan stops at d, read only past the gap
             break
         # one component per step, so an early stop skips the rest; summed in
         # the order np.cumsum uses, so prefix i matches every other trendline

@@ -9,13 +9,46 @@ from ivssa import (
     IntervalSeries,
     InvalidValueError,
     PairMatrix,
+    ParameterError,
     ShapeError,
     phi_arrays,
 )
+from ivssa.core import _integer
 from helpers import make_rng, random_pair_matrix
 from oracles import c_norm, phi_scalar
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value", [5, 5.0, np.int64(5), np.float32(5.0)])
+    def test_integral_values_accepted(self, value):
+        got = _integer(value, "size", 1)
+        assert got == 5 and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (5.5, "size must be an integer, got 5.5"),
+            (math.inf, "size must be an integer, got inf"),
+            (math.nan, "size must be an integer, got nan"),
+            ("5", "size must be an integer, got 5"),
+            (0, "size must be >= 1, got 0"),
+            (np.float64(-2.0), "size must be >= 1, got -2.0"),
+        ],
+    )
+    def test_rejected_values_name_the_parameter(self, value, message):
+        with pytest.raises(ParameterError) as got:
+            _integer(value, "size", 1)
+        assert str(got.value) == message
+
+    def test_ints_beyond_float_range_are_checked_as_ints(self):
+        # float(10**400) would raise OverflowError
+        assert _integer(10**400, "size", 1) == 10**400
+        with pytest.raises(ParameterError, match="size must be >= 1"):
+            _integer(-(10**400), "size", 1)
+        with pytest.raises(ParameterError, match="size must be >= 1000"):
+            _integer(np.int64(9), "size", 10**400)
 
 
 class TestPhi:

@@ -608,6 +608,16 @@ class TestLargeFits:
         assert len(solves) == 1
         assert decompose_full(y, _LAZY_ROWS).d == 3
 
+    def test_no_gap_takes_the_complete_solve(self):
+        # white noise has no clear gap among its leading eigenvalues, so a
+        # fit at l = 401 runs the complete solve at build
+        mid = np.random.default_rng(0).normal(0.0, 1.0, 2 * _LAZY_ROWS)
+        y = IntervalSeries(mid - 1e-3, mid + 1e-3)
+        dec = decompose(y)
+        assert dec.window >= _LAZY_ROWS and dec.eig._s is None
+        assert dec.d == 401
+        assert assert_matches_complete_solve(dec, decompose_full(y)) == 401
+
     def test_rank_eps_zero(self):
         y = long_shaped(2 * _LAZY_ROWS - 1, seed=3)
         dec = decompose(y, _LAZY_ROWS, rank_eps=0.0)

@@ -155,10 +155,17 @@ class TestForecastRecurrent:
     def test_parameter_errors(self):
         coef = RecurrenceCoefficients(alpha=np.array([0.5, 0.5]), verticality=0.0)
         trend = IntervalSeries([1.0], [1.0])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="horizon must be >= 1, got 0"):
             forecast_recurrent(trend, coef, 0)
+        with pytest.raises(ParameterError, match="horizon must be an integer, got 2.5"):
+            forecast_recurrent(trend, coef, 2.5)
         with pytest.raises(ParameterError):
             forecast_recurrent(trend, coef, 3)
+        trend = IntervalSeries([1.0, 2.0], [1.0, 3.0])
+        want = forecast_recurrent(trend, coef, 3)
+        for horizon in (3.0, np.int64(3)):
+            got = forecast_recurrent(trend, coef, horizon)
+            assert got.values == want.values and type(got.horizon) is int
 
 
 def geometric_case():
@@ -348,18 +355,32 @@ class TestSelectParamsOos:
 
     def test_validation(self):
         y = structured_series(40, seed=4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="horizon p must be >= 1, got 0"):
             select_params_oos(y, p=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="stride must be >= 1, got 0"):
             select_params_oos(y, stride=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="w0 must be >= 11, got 10"):
             select_params_oos(y, l_grid=(10,), w0=10, p=5)
         with pytest.raises(ParameterError):
             select_params_oos(y, l_grid=(10,), w0=38, p=5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="window grid entry must be >= 2, got 1"):
             select_params_oos(y, l_grid=(1,), p=5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m grid entry must be >= 1, got 0"):
             select_params_oos(y, m_grid=(0,), p=5)
+        with pytest.raises(ParameterError, match="must not be empty"):
+            select_params_oos(y, m_grid=(), p=5)
+        # non-integral sizes name their parameter instead of a TypeError
+        with pytest.raises(ParameterError, match="horizon p must be an integer, got 5.5"):
+            select_params_oos(y, p=5.5)
+        with pytest.raises(ParameterError, match="stride must be an integer, got 2.5"):
+            select_params_oos(y, l_grid=(10,), stride=2.5, p=5)
+        with pytest.raises(ParameterError, match="w0 must be an integer, got 30.5"):
+            select_params_oos(y, l_grid=(10,), w0=30.5, p=5)
+        # an int beyond float range is compared as an int
+        with pytest.raises(ParameterError, match="exceeds n = 40"):
+            select_params_oos(y, l_grid=(10,), p=10**400)
+        with pytest.raises(ParameterError, match="exceeds n = 40"):
+            select_params_oos(y, l_grid=(10,), w0=10**400, p=5)
         # non-integral grid entries are rejected, not truncated (10.5 -> 10)
         with pytest.raises(ParameterError, match="window grid entry must be an integer, got 10.5"):
             select_params_oos(y, l_grid=(8, 10.5), p=5)
@@ -374,6 +395,11 @@ class TestSelectParamsOos:
         assert all(type(v) is int for v in got.l_grid + got.m_grid)
         assert (got.window, got.m) == (want.window, want.m)
         assert np.array_equal(got.objective, want.objective)
+        want = select_params_oos(y, l_grid=(10,), w0=30, p=5, stride=2)
+        got = select_params_oos(y, l_grid=(10,), w0=30.0, p=np.int64(5), stride=2.0)
+        assert (got.w0, got.p, got.stride) == (30, 5, 2)
+        assert all(type(v) is int for v in (got.w0, got.p, got.stride))
+        assert got.objective == want.objective
 
 
 def window_args(y, window, w0, p, stride, m_grid):

@@ -436,6 +436,38 @@ class TestCliBasics:
         assert json.loads(open(tmp_path / "main0.json").read())["params"]["max_m"] == 5
         assert json.loads(open(tmp_path / "main1.json").read())["params"]["max_m"] is None
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["decompose", "--window", "abc"], 5, "--window expects an integer or 'auto', got 'abc'"),
+            (["decompose", "--grouping", "fixed:0"], 5, "--grouping fixed:M must be >= 1, got 0"),
+            (["decompose", "--grouping", "bogus"], 5,
+             "--grouping expects periodogram, fixed:M or oos, got 'bogus'"),
+            (["decompose", "--grouping", "fixed:500"], 5, "component must lie in [1, {d}], got {d1}"),
+            (["forecast", "--grouping", "fixed:500"], 5, "component must lie in [1, {d}], got 500"),
+            (["select-params", "--l-grid", "10,x"], 5,
+             "--l-grid expects comma-separated integers, got '10,x'"),
+            (["select-params", "--m-grid", ","], 5, "--m-grid is empty"),
+            (["select", "--input", "{short}"], 3, "input has 3 rows; need at least 4"),
+            (["decompose", "--input", "{wide}", "--grouping", "oos"], 5,
+             "out-of-sample grouping needs a univariate input"),
+            (["forecast", "--input", "{wide}"], 5, "forecast needs a univariate input"),
+            (["select-params", "--input", "{wide}"], 5, "select-params needs a univariate input"),
+        ],
+    )
+    def test_usage_errors(self, argv, code, message, sample_csv, wide_csv, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        write_text(short, "label,lo,hi\nr1,1,2\nr2,1,2\nr3,1,2\n")
+        d = decompose(read_csv(sample_csv)[0]).d
+        if "--input" not in argv:
+            argv = [argv[0], "--input", sample_csv, *argv[1:]]
+        argv = [a.format(short=short, wide=wide_csv) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == code
+        kind = "invalid input" if code == 3 else "configuration error"
+        want = message.format(d=d, d1=d + 1)
+        assert capsys.readouterr().err == f"ivssa: {kind}: {want}\n"
+        assert not os.path.exists(tmp_path / "out.json")
+
     def test_version(self):
         res = run_cli("--version")
         assert res.returncode == 0

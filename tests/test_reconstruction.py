@@ -42,17 +42,18 @@ class TestGrouping:
             Grouping(())
         with pytest.raises(ParameterError):
             Grouping((1, 1))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="component index must be >= 1, got 0"):
             Grouping((0, 2))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m must be >= 1, got 0"):
             Grouping.leading(0)
-        with pytest.raises(ParameterError):
-            Grouping((1, 5)).validate(4)
-        Grouping((1, 5)).validate(5)
         # truncating would retain component 1 for 1.5
         with pytest.raises(ParameterError, match="component index must be an integer, got 1.5"):
             Grouping((1.5, 2))
+        with pytest.raises(ParameterError, match="m must be an integer, got 2.5"):
+            Grouping.leading(2.5)
         assert Grouping((np.int64(1), 2.0)).indices == (1, 2)
+        assert Grouping.leading(2.0) == Grouping.leading(np.int64(2)) == Grouping((1, 2))
+        assert Grouping((1, 10**400)).indices == (1, 10**400)
 
 
 class TestDiagonalAveraging:
@@ -177,10 +178,16 @@ class TestErcs:
     def test_count_bounds(self):
         y = random_series(make_rng(17), 15)
         dec = decompose(y, 4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=rf"component must lie in \[1, {dec.d}\], got 0"):
             reconstruct_ercs(dec, 0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=rf"must lie in \[1, {dec.d}\], got {dec.d + 1}"):
             reconstruct_ercs(dec, dec.d + 1)
+        # a non-integral count or index is named, not a TypeError
+        with pytest.raises(ParameterError, match="component index must be an integer, got 2.5"):
+            reconstruct_ercs(dec, 2.5)
+        with pytest.raises(ParameterError, match="component index must be an integer, got 1.5"):
+            dec.component_channels((1.5,))
+        assert len(reconstruct_ercs(dec, 2.0).components) == 2
 
 
 def _fit(mode: str, rng, n: int = 17):

@@ -50,13 +50,25 @@ class TestScenarioConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             ScenarioConfig.from_name("C", 50, 3)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="n must be >= 4, got 3"):
             ScenarioConfig(n=3, rho=0.0, sigma2=1.0, seed=0)
+        with pytest.raises(ParameterError, match="n must be an integer, got 50.5"):
+            ScenarioConfig(n=50.5, rho=0.0, sigma2=1.0, seed=0)
+        with pytest.raises(ParameterError, match="seed must be an integer, got 1.5"):
+            ScenarioConfig(n=50, rho=0.0, sigma2=1.0, seed=1.5)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            ScenarioConfig(n=50, rho=0.0, sigma2=1.0, seed=-1)
         with pytest.raises(ParameterError):
             ScenarioConfig(n=50, rho=0.0, sigma2=-1.0, seed=0)
         with pytest.raises(ParameterError):
             # noise covariance [[1, 1.2], [1.2, 1]] is indefinite
             ScenarioConfig(n=50, rho=1.2, sigma2=1.0, seed=0)
+
+    def test_integral_sizes_stored_as_ints(self):
+        cfg = ScenarioConfig(n=50.0, rho=0.0, sigma2=1.0, seed=np.int64(3))
+        assert cfg == ScenarioConfig.scenario_a(50, seed=3)
+        assert type(cfg.n) is int and type(cfg.seed) is int
+        assert ScenarioConfig.scenario_a(50, seed=10**400).seed == 10**400
 
 
 class TestSimulateScenario:
@@ -227,12 +239,20 @@ class TestRunMonteCarlo:
     def test_validation(self):
         with pytest.raises(ParameterError):
             run_monte_carlo(scenarios="Q", reps=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="reps must be >= 1, got 0"):
             run_monte_carlo(reps=0)
+        with pytest.raises(ParameterError, match="reps must be an integer, got 1.5"):
+            run_monte_carlo(reps=1.5)
+        with pytest.raises(ParameterError, match="base_seed must be an integer, got 1.5"):
+            run_monte_carlo(reps=1, base_seed=1.5)
+        with pytest.raises(ParameterError, match="base_seed must be >= 0, got -1"):
+            run_monte_carlo(reps=1, base_seed=-1)
         with pytest.raises(ParameterError):
             run_monte_carlo(methods=("ivssa", "other"), reps=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m list entry must be >= 1, got 0"):
             run_monte_carlo(m_list=(0, 1), reps=1)
+        with pytest.raises(ParameterError, match="m list must not be empty"):
+            run_monte_carlo(m_list=(), reps=1)
         # checked up front: a bad alpha is a configuration error, not a
         # failed selection in every replication
         for alpha in (0.0, 1.0, 2.0, math.nan):
@@ -253,11 +273,12 @@ class TestRunMonteCarlo:
             scenarios="A",
             n_list=(40.0,),
             m_list=(np.int64(1), 2.0, 3),
-            reps=3,
-            base_seed=7,
+            reps=3.0,
+            base_seed=np.int64(7),
             max_m=40.0,
         )
         assert rep.to_dict() == small_report.to_dict()
+        assert type(rep.reps) is int and type(rep.base_seed) is int
 
     # a repeated n or scenario would duplicate every summary record of its
     # cells and count twice the replications as failed (hr_x_failed = -2 at
@@ -301,6 +322,21 @@ class TestRunMonteCarlo:
             ]
         assert len(rep.selection_rows) == 3 * 2
         assert rep.hr_values("A", 40, "ivssa", 2, "y").size == 1
+
+    def test_failed_selection_keeps_hr_rows(self, monkeypatch):
+        # a selection that raises after its fits succeeded is recorded as
+        # failed, and the HR rows of those fits are kept
+        def failing(*args, **kwargs):
+            raise ParameterError("selection failed")
+
+        args = dict(scenarios="A", n_list=(40,), m_list=(1, 2), reps=1, base_seed=7)
+        want = run_monte_carlo(**args)
+        monkeypatch.setattr(simulation, "select_from_decomposition", failing)
+        got = run_monte_carlo(**args)
+        assert got.hr_rows == want.hr_rows
+        assert all(r.hr_x is not None for r in got.hr_rows)
+        assert len(got.selection_rows) == 3 * 2
+        assert all((r.m, r.converged) == (None, False) for r in got.selection_rows)
 
     def test_max_m_below_one_rejected(self):
         # checked before any replication runs, not recorded as failed rows

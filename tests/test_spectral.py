@@ -115,6 +115,16 @@ class TestResidualWhiteness:
             want = periodogram(IntervalSeries(*phi_arrays(y.lo - lo, y.hi - hi))).ks_stat
             assert ks == want and accepted == (want <= crit) and not perfect
 
+    def test_constant_residual_is_a_perfect_fit(self):
+        # a nonzero constant residual has no power at the Fourier
+        # frequencies j >= 1, so its spectrum is degenerate
+        with pytest.raises(DegenerateSpectrumError, match="zero total power"):
+            periodogram(IntervalSeries(np.ones(40), np.ones(40)))
+        lo = np.arange(40.0)
+        y = IntervalSeries(lo, lo + 2.0)
+        ks, accepted, perfect = residual_whiteness(y, lo - 1.0, lo + 1.0, 1.358)
+        assert math.isnan(ks) and accepted and perfect
+
     def test_short_residuals_rejected(self):
         y = IntervalSeries(np.array([0.0, 1.0, 0.5]), np.array([1.0, 2.0, 2.5]))
         with pytest.raises(ParameterError, match="periodogram needs n >= 4"):
@@ -160,6 +170,20 @@ class TestSelection:
         assert all(v > sel.critical_value for v in sel.ks_trace[:-1])
         assert sel.ks_trace[-1] <= sel.critical_value
 
+    def test_scan_stops_at_the_rank(self):
+        # a coarse rank cutoff leaves d = 1, below the sine pair: the scan
+        # ends at d, unconverged, after one statistic
+        t = np.arange(120)
+        noise = np.random.default_rng(3).normal(0.0, 0.3, t.size)
+        mid = 5.0 + 3.0 * np.sin(2 * np.pi * t / 12.0) + noise
+        y = IntervalSeries(mid - 0.5, mid + 0.5)
+        dec = decompose(y, rank_eps=0.2)
+        sel = select_from_decomposition(dec, y)
+        assert dec.d == 1
+        assert (sel.m, sel.converged) == (1, False)
+        assert len(sel.ks_trace) == 1
+        assert sel.ks_trace[0] == pytest.approx(6.22, abs=5e-3)
+
     def test_max_m_caps_scan(self):
         y = structured_series(100, seed=7, noise=0.0)
         # noise-free series: KS never passes on deterministic residual cycles
@@ -180,6 +204,8 @@ class TestSelection:
         with pytest.raises(ParameterError, match="max_m must be an integer, got 2.5"):
             select_from_decomposition(dec, y, max_m=2.5)
         want = select_from_decomposition(dec, y, max_m=2)
+        with pytest.raises(ParameterError, match="max_m must be >= 1, got 0.0"):
+            select_from_decomposition(dec, y, max_m=0.0)
         for cap in (2.0, np.int64(2)):
             got = select_from_decomposition(dec, y, max_m=cap)
             assert (got.m, got.ks_trace) == (want.m, want.ks_trace)
