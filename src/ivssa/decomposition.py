@@ -392,11 +392,11 @@ class Decomposition:
     def series_block(self, series_index: int) -> tuple[slice, slice]:
         """Rows and columns of the trajectory matrix that hold one 1-based
         series: a row band for vertical stacking, a column band for horizontal."""
-        if not 1 <= series_index <= self.n_series:
+        s = _integer(series_index, "series index", 1) - 1
+        if s >= self.n_series:
             raise ParameterError(
                 f"series index must lie in [1, {self.n_series}], got {series_index}"
             )
-        s = series_index - 1
         if self.mode is StackingMode.VERTICAL:
             return slice(s * self.window, (s + 1) * self.window), slice(None)
         if self.mode is StackingMode.HORIZONTAL:
@@ -436,7 +436,10 @@ class Decomposition:
         row has the bits a fresh one would, whatever was read with it.
         """
         rows, cols = self.series_block(series_index)
-        kept = self._rows.setdefault(series_index, {})
+        if indices:
+            # the largest index first, so a grouping past d projects nothing
+            _component_index(self.eig, max(indices))
+        kept = self._rows.setdefault(int(series_index), {})
         new = [i for i in dict.fromkeys(indices) if i not in kept]
         u, mid, radius = [], [], []
         for i in new:

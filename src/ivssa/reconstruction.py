@@ -51,7 +51,6 @@ def trendline(
         )
     out = []
     for s, g in enumerate(groupings, start=1):
-        _component_index(dec.eig, max(g.indices))
         ca, cb = dec.component_channels(g.indices, s)
         lo, hi = phi_arrays(np.cumsum(ca, axis=0)[-1], np.cumsum(cb, axis=0)[-1])
         out.append(IntervalSeries(lo, hi))

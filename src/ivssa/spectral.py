@@ -165,10 +165,7 @@ def select_from_decomposition(
     """
     if not dec.eig.within_rank(1):
         raise ParameterError("decomposition has rank zero; nothing to select")
-    if not 1 <= series_index <= dec.n_series:
-        raise ParameterError(
-            f"series index must lie in [1, {dec.n_series}], got {series_index}"
-        )
+    dec.series_block(series_index)  # rejects an index that names no series
     if len(y) != dec.series_length:
         raise ShapeError(
             f"series length {len(y)} does not match decomposition length "

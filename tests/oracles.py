@@ -294,9 +294,9 @@ def antidiagonal_means(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class FullFit:
     """The complete-solve fit of ``decompose_full``: ``eig``, ``d``,
-    ``n_series`` and ``series_length`` as a ``Decomposition`` has them, and
-    ``component_channels`` from the projections u'A and u'B of the stacked
-    trajectory grids."""
+    ``n_series``, ``series_length`` and ``series_block`` as a
+    ``Decomposition`` has them, and ``component_channels`` from the
+    projections u'A and u'B of the stacked trajectory grids."""
 
     def __init__(self, eig, mat, mode, window: int, n_series: int):
         u = eig.vectors[:, : eig.d]
@@ -306,16 +306,23 @@ class FullFit:
         self.series_length = self.k + window - 1
         self.wa, self.wb = u.T @ mat.a, u.T @ mat.b
 
-    def component_channels(self, indices, series_index: int = 1):
+    def series_block(self, series_index: int):
         s = series_index - 1
         rows, cols = slice(None), slice(None)
         if self.mode.value == "vertical":
             rows = slice(s * self.window, (s + 1) * self.window)
         elif self.mode.value == "horizontal":
             cols = slice(s * self.k, (s + 1) * self.k)
+        return rows, cols
+
+    def component_channels(self, indices, series_index: int = 1):
+        from ivssa.decomposition import _component_index
+
+        rows, cols = self.series_block(series_index)
         ca, cb = [], []
         for i in indices:
-            u = self.eig.vectors[rows, i - 1]
+            # the rank check a Decomposition makes, against the complete solve
+            u = self.eig.vectors[rows, _component_index(self.eig, i) - 1]
             ca.append(antidiagonal_means(u, self.wa[i - 1, cols]))
             cb.append(antidiagonal_means(u, self.wb[i - 1, cols]))
         return np.array(ca), np.array(cb)

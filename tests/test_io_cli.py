@@ -30,7 +30,7 @@ from ivssa import (
     write_series_csv,
     write_table_csv,
 )
-from ivssa.io import atomic_write_text
+from ivssa.io import _JSON_BATCH, _Doc, atomic_write_text
 from helpers import child_env, long_shaped, structured_series
 from oracles import json_dumps_loop
 
@@ -377,6 +377,12 @@ def test_json_bytes_match_per_value_emitter(doc):
     [
         ["decompose", "--input", WEEKLY],
         ["mc", "--scenario", "A", "--n-list", "20", "--m-list", "1,2", "--reps", "2"],
+        ["forecast", "--input", WEEKLY],
+        ["select", "--input", WEEKLY],
+        # m = 12 exceeds l = 10 and d, so those cells fail with a null objective
+        ["select-params", "--input", WEEKLY, "--l-grid", "10,20", "--m-grid", "1,12",
+         "--horizon", "4", "--stride", "20"],
+        ["simulate", "--scenario", "B", "--n", "30", "--seed", "11"],
     ],
 )
 def test_cli_documents_match_per_value_emitter(argv, tmp_path, monkeypatch):
@@ -384,6 +390,32 @@ def test_cli_documents_match_per_value_emitter(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "write_json", lambda path, doc: docs.append(doc))
     assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
     assert json_dumps(docs[0]) == json_dumps_loop(docs[0])
+    if argv[0] == "select-params":
+        assert {c["failed"] for c in docs[0]["oos"]["cells"]} == {False, True}
+        assert any(c["objective"] is None for c in docs[0]["oos"]["cells"])
+
+
+def test_json_batches_keep_shared_texts(monkeypatch):
+    """Floats are formatted a batch at a time.  Values that recur on both
+    sides of a flush (signed zeros, NaN payloads, float32 copies) keep their
+    texts in arrays, rows, float lists, scalars and record fields."""
+    shared = [0.0, -0.0, 0.1, 3.0, 1e17, -math.inf, *NAN_PAYLOADS, *NAN32_PAYLOADS]
+    shared.append(float(np.float32(0.1)))
+    block = {
+        "array": np.array(shared),
+        "float32": np.array([0.1, -0.0, math.nan, 2.5], dtype=np.float32),
+        "rows": np.array([shared, shared[::-1]]),
+        "list": list(shared),
+        "scalars": [np.float32(0.1), np.float64(-0.0), *shared, 7, None],
+        "records": [{"x": v, "n": i, "ok": i % 2 == 0} for i, v in enumerate(shared)],
+    }
+    filler = np.arange(_JSON_BATCH) / 7.0
+    doc = [block, {"filler": filler}, block, [block, filler.tolist()], block]
+    pending = []
+    flush = _Doc.flush
+    monkeypatch.setattr(_Doc, "flush", lambda self: pending.append(self.pending) or flush(self))
+    assert json_dumps(doc) == json_dumps_loop(doc)
+    assert len(pending) == 3 and min(pending[:2]) >= _JSON_BATCH
 
 
 def run_cli(*args, cwd=None, as_bytes=False):
@@ -443,7 +475,7 @@ class TestCliBasics:
             (["decompose", "--grouping", "fixed:0"], 5, "--grouping fixed:M must be >= 1, got 0"),
             (["decompose", "--grouping", "bogus"], 5,
              "--grouping expects periodogram, fixed:M or oos, got 'bogus'"),
-            (["decompose", "--grouping", "fixed:500"], 5, "component must lie in [1, {d}], got {d1}"),
+            (["decompose", "--grouping", "fixed:500"], 5, "component must lie in [1, {d}], got 500"),
             (["forecast", "--grouping", "fixed:500"], 5, "component must lie in [1, {d}], got 500"),
             (["select-params", "--l-grid", "10,x"], 5,
              "--l-grid expects comma-separated integers, got '10,x'"),
@@ -453,6 +485,11 @@ class TestCliBasics:
              "out-of-sample grouping needs a univariate input"),
             (["forecast", "--input", "{wide}"], 5, "forecast needs a univariate input"),
             (["select-params", "--input", "{wide}"], 5, "select-params needs a univariate input"),
+            # the largest index is checked first, so both commands name it
+            (["decompose", "--input", WEEKLY, "--grouping", "fixed:500"], 5,
+             "component must lie in [1, 125], got 500"),
+            (["forecast", "--input", WEEKLY, "--grouping", "fixed:500"], 5,
+             "component must lie in [1, 125], got 500"),
         ],
     )
     def test_usage_errors(self, argv, code, message, sample_csv, wide_csv, tmp_path, capsys):

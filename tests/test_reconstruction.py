@@ -7,6 +7,7 @@ import ivssa.decomposition
 import ivssa.spectral
 from ivssa import (
     Grouping,
+    IntervalSeries,
     ParameterError,
     StackingMode,
     decompose,
@@ -284,6 +285,45 @@ class TestComponentChannels:
             dec.component_channels((dec.d + 1,))
         with pytest.raises(ParameterError):
             dec.component_channels((0,))
+
+    def test_series_index_is_an_integer(self):
+        """``series_block`` owns the series-index check: a non-integral index
+        is named as such, and an integral float or a bool keys the kept rows
+        by an int."""
+        y = structured_series(60, seed=12, noise=0.3)
+        dec = decompose(y)
+        for call in (
+            lambda: dec.component_channels((1,), 1.5),
+            lambda: select_from_decomposition(dec, y, series_index=1.5),
+        ):
+            with pytest.raises(ParameterError, match=r"^series index must be an integer, got 1.5$"):
+                call()
+        with pytest.raises(ParameterError, match=r"^series index must lie in \[1, 1\], got 2$"):
+            select_from_decomposition(dec, y, series_index=2)
+        want = decompose(y).component_channels((1, 2))
+        for index in (1.0, True):
+            got = dec.component_channels((1, 2), index)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert [type(k) for k in dec._rows] == [int]
+
+    def test_largest_index_is_checked_first(self):
+        """A grouping past d (the CLI's fixed:500 on a 1000-row fit) is
+        rejected naming its largest index, before any block past the
+        known leading components is projected."""
+        t = np.arange(1000.0)
+        mid = 10 + 0.01 * t + sum(np.sin(2 * np.pi * t / p) for p in (7, 11, 13, 17, 23, 29, 31))
+        y = IntervalSeries(mid - 1 - 0.1 * np.sin(t / 5), mid + 1 + 0.1 * np.cos(t / 3))
+        dec = decompose(y)
+        known = dec.eig._known.shape[1]
+        dec.component_channels((1,))
+        assert list(dec._w) == [0]
+        message = rf"^component must lie in \[1, {dec.d}\], got 500$"
+        assert known < dec.d < 500
+        with pytest.raises(ParameterError, match=message):
+            dec.component_channels(range(1, 501))
+        with pytest.raises(ParameterError, match=message):
+            trendline(dec, Grouping.leading(500))
+        assert list(dec._w) == [0]
 
 
 class TestOnePrefixSum:
