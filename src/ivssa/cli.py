@@ -35,7 +35,14 @@ from .forecasting import (
     recurrence_coefficients,
     select_params_oos,
 )
-from .io import json_dumps, read_csv, series_columns, write_json, write_table_csv
+from .io import (
+    check_regular_target,
+    json_dumps,
+    read_csv,
+    series_columns,
+    write_json,
+    write_table_csv,
+)
 from .reconstruction import Grouping, trendline
 from .simulation import (
     GENERATOR,
@@ -543,9 +550,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.format == "csv" and args.out is None:
             raise ParameterError("--format csv requires --out")
-        out_dir = os.path.dirname(os.path.abspath(args.out or "."))
-        if args.out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
-            raise OutputError(f"cannot write {args.out}: no writable directory {out_dir}")
+        if args.out:
+            out_dir = os.path.dirname(os.path.abspath(args.out))
+            if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+                raise OutputError(f"cannot write {args.out}: no writable directory {out_dir}")
+            check_regular_target(args.out)
         args.func(args)
         return 0
     except CsvError as exc:

@@ -456,7 +456,7 @@ class Decomposition:
     @cached_property
     def _counts(self) -> np.ndarray:
         """Antidiagonal lengths of a series' block, one per time index; kept
-        because the periodogram scan reads one component per call."""
+        because the whiteness scan reads a few components per call."""
         n = self.series_length
         t = np.arange(n)
         return np.minimum(np.minimum(t + 1, n - t), min(self.window, self.k))

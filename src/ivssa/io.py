@@ -147,7 +147,7 @@ def _is_bad_float(text: str) -> bool:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -159,8 +159,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def check_regular_target(path: str) -> None:
+    """Raise OutputError if path exists but is no regular file: a directory,
+    a FIFO or a device, which ``os.replace`` would swap for a file."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        kind = "Is a directory" if os.path.isdir(path) else "not a regular file"
+        raise OutputError(f"cannot write {path}: {kind}")
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text via a sibling temp file and os.replace; OSError -> OutputError."""
+    check_regular_target(path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ivssa-", suffix=".tmp")

@@ -7,6 +7,12 @@ channels of ``symbolic_channels`` is the sum of the mid channel's and the
 radius/sqrt(3) channel's real autocovariances.  At the Fourier frequencies
 its plug-in spectrum is therefore the sum of the two channels' squared DFT
 moduli over 2*pi*n, so no autocovariance is formed.
+
+The scan tests prefixes in blocks of 1, 2, 4, ... at a time: one
+``component_channels`` read, prefix sums that carry the last trendline in,
+and one row-wise pass (``_whiteness_rows``: residuals, rms test, one real
+FFT per row, KS statistic) per block, cut at the first accepted prefix.
+Each row has the bits of the one-prefix-per-step scan.
 """
 
 from __future__ import annotations
@@ -70,41 +76,53 @@ def periodogram(e: IntervalSeries) -> PeriodogramResult:
     (|DFT(C)(w_j)|^2 + |DFT(R/sqrt(3))(w_j)|^2) / (2*pi*n).  The DFT of a
     constant vanishes for j >= 1, so the ordinates do not depend on the
     channel means.  Zero total power raises ``DegenerateSpectrumError``,
-    which callers treat as a perfect fit.
+    which callers treat as a perfect fit.  The one-row call of
+    ``_whiteness_rows``, with no trend and no rms test.
     """
-    freqs, ordinates, cumulative, ks = _periodogram(e.lo, e.hi)
+    ordinates, cumulative, ks, zero_power = _whiteness_rows(
+        e.lo[None], e.hi[None], 0.0, 0.0, -math.inf
+    )
+    if zero_power[0]:
+        if not (e.lo.any() or e.hi.any()):
+            raise DegenerateSpectrumError("residual series is identically zero")
+        raise DegenerateSpectrumError("residual spectrum has zero total power")
+    freqs = 2.0 * np.pi * np.arange(1, ordinates.shape[1] + 1) / len(e)
     for arr in (freqs, ordinates, cumulative):
         arr.flags.writeable = False
     return PeriodogramResult(
         frequencies=freqs,
-        ordinates=ordinates,
-        cumulative=cumulative,
-        ks_stat=ks,
+        ordinates=ordinates[0],
+        cumulative=cumulative[0],
+        ks_stat=float(ks[0]),
         n_clipped=0,
     )
 
 
-def _periodogram(
-    lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Frequencies, ordinates, cumulative periodogram and KS statistic of
-    the interval series with endpoint arrays lo, hi (see ``periodogram``)."""
-    n = lo.size
-    if n < 4:
+def _whiteness_rows(
+    y_lo: np.ndarray, y_hi: np.ndarray, trend_lo, trend_hi, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ordinates, cumulative periodograms, KS statistics and perfect-fit
+    flags, row by row, of the residuals (y_lo - trend_lo, y_hi - trend_hi)
+    broadcast to (B, n).  A perfect fit (rms at most ``floor``, or zero
+    spectral power) has a NaN statistic.  n < 4 is refused unless row 0,
+    the first the scan tests, is a perfect fit by rms."""
+    res_a = y_lo - trend_lo
+    res_b = y_hi - trend_hi
+    n = res_a.shape[1]
+    perfect = np.sqrt((res_a**2 + res_b**2).sum(axis=1) / n) <= floor
+    if n < 4 and not perfect[0]:
         raise ParameterError(f"periodogram needs n >= 4, got {n}")
-    if not (lo.any() or hi.any()):
-        raise DegenerateSpectrumError("residual series is identically zero")
     j_count = (n - 1) // 2
-    j = np.arange(1, j_count + 1)
-    freqs = 2.0 * np.pi * j / n
-    spec = np.fft.rfft(symbolic_channels(lo, hi))[:, 1 : j_count + 1]
+    spec = np.fft.rfft(symbolic_channels(*phi_arrays(res_a, res_b)))[..., 1 : j_count + 1]
     ordinates = (spec.real**2 + spec.imag**2).sum(axis=0) / (2.0 * np.pi * n)
-    total = float(ordinates.sum())
-    if total <= 0.0:
-        raise DegenerateSpectrumError("residual spectrum has zero total power")
-    cumulative = np.cumsum(ordinates) / total
-    ks = float(np.sqrt(j_count) * np.max(np.abs(cumulative - j / j_count)))
-    return freqs, ordinates, cumulative, ks
+    total = ordinates.sum(axis=1, keepdims=True)
+    perfect |= total[:, 0] <= 0.0
+    # the least subnormal lifts only a zero total, whose ordinates are all 0
+    cumulative = ordinates.cumsum(axis=1) / np.maximum(total, math.ulp(0.0))
+    gaps = np.abs(cumulative - np.arange(1, j_count + 1) / max(j_count, 1))
+    ks = math.sqrt(j_count) * gaps.max(axis=1, initial=0.0)
+    ks[perfect] = math.nan
+    return ordinates, cumulative, ks, perfect
 
 
 def residual_whiteness(
@@ -120,18 +138,11 @@ def residual_whiteness(
     declared perfect (residuals at float-noise level or a degenerate
     spectrum).
     """
-    res_a = y.lo - trend_lo
-    res_b = y.hi - trend_hi
     if scale is None:
         scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
-    rms = float(np.sqrt(np.mean(res_a**2 + res_b**2)))
-    if rms <= PERFECT_FIT_RTOL * scale:
-        return math.nan, True, True
-    try:
-        ks = _periodogram(*phi_arrays(res_a, res_b))[3]
-    except DegenerateSpectrumError:
-        return math.nan, True, True
-    return ks, ks <= critical_value, False
+    floor = PERFECT_FIT_RTOL * scale
+    ks, perfect = _whiteness_rows(y.lo[None], y.hi[None], trend_lo, trend_hi, floor)[2:]
+    return float(ks[0]), bool(perfect[0] or ks[0] <= critical_value), bool(perfect[0])
 
 
 @dataclass(frozen=True)
@@ -160,8 +171,8 @@ def select_from_decomposition(
 ) -> SelectionResult:
     """Targeted-grouping scan against a prebuilt decomposition.
 
-    Scans prefixes I = {1..i}: reconstructs the trendline of the given
-    series, tests its residuals, and stops at the first accepted i.
+    Scans prefixes I = {1..i} in blocks: reconstructs the trendlines of the
+    given series, tests their residuals, and stops at the first accepted i.
     """
     if not dec.eig.within_rank(1):
         raise ParameterError("decomposition has rank zero; nothing to select")
@@ -173,33 +184,34 @@ def select_from_decomposition(
         )
     cap = DEFAULT_MAX_M if max_m is None else _integer(max_m, "max_m", 1)
     crit = ks_critical_value(alpha)
-    scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
+    floor = PERFECT_FIT_RTOL * float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
     trace: list[float] = []
-    for i in range(1, cap + 1):
-        if not dec.eig.within_rank(i):  # the scan stops at d, read only past the gap
-            break
-        # one component per step, so an early stop skips the rest; summed in
-        # the order np.cumsum uses, so prefix i matches every other trendline
-        ca, cb = dec.component_channels((i,), series_index)
-        ta, tb = (ca[0], cb[0]) if i == 1 else (ta + ca[0], tb + cb[0])
-        lo, hi = phi_arrays(ta, tb)
-        ks, accepted, perfect = residual_whiteness(y, lo, hi, crit, scale=scale)
-        trace.append(ks)
-        if accepted:
-            return SelectionResult(
-                m=i,
-                converged=True,
-                ks_trace=tuple(trace),
-                alpha=alpha,
-                critical_value=crit,
-                perfect_fit=perfect,
-            )
+    i, converged, perfect_fit = 1, False, False
+    while not converged and i <= cap and dec.eig.within_rank(i):  # d read past the gap only
+        # prefixes i..stop in one block of at most i rows, inside the known
+        # gap block while the scan is in it, so an early stop solves nothing
+        j = dec.eig._known.shape[1]
+        stop = min(2 * i - 1, cap, j if i <= j else dec.eig.d)
+        ca, cb = dec.component_channels(range(i, stop + 1), series_index)
+        if i > 1:  # carry prefix i-1 in: the adds of np.cumsum over all rows
+            ca[0] += ta
+            cb[0] += tb
+        ca.cumsum(axis=0, out=ca)
+        cb.cumsum(axis=0, out=cb)
+        lo, hi = phi_arrays(ca, cb)
+        ks, perfect = _whiteness_rows(y.lo, y.hi, lo, hi, floor)[2:]
+        hits = np.flatnonzero(perfect | (ks <= crit))
+        r = hits[0] if hits.size else ks.size - 1  # the trace ends at the first accepted row
+        trace += ks[: r + 1].tolist()
+        converged, perfect_fit = bool(hits.size), bool(perfect[r])
+        ta, tb, i = ca[-1], cb[-1], stop + 1
     return SelectionResult(
         m=len(trace),
-        converged=False,
+        converged=converged,
         ks_trace=tuple(trace),
         alpha=alpha,
         critical_value=crit,
+        perfect_fit=perfect_fit,
     )
 
 

@@ -280,6 +280,87 @@ def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
     return errors, reasons
 
 
+# the selection scan as it was before it tested a block of prefixes at a
+# time: one component, one residual test and one periodogram per step
+
+
+def _periodogram_step(lo: np.ndarray, hi: np.ndarray) -> float:
+    import ivssa
+
+    n = lo.size
+    if n < 4:
+        raise ivssa.ParameterError(f"periodogram needs n >= 4, got {n}")
+    if not (lo.any() or hi.any()):
+        raise ivssa.DegenerateSpectrumError("residual series is identically zero")
+    j_count = (n - 1) // 2
+    j = np.arange(1, j_count + 1)
+    spec = np.fft.rfft(ivssa.core.symbolic_channels(lo, hi))[:, 1 : j_count + 1]
+    ordinates = (spec.real**2 + spec.imag**2).sum(axis=0) / (2.0 * np.pi * n)
+    total = float(ordinates.sum())
+    if total <= 0.0:
+        raise ivssa.DegenerateSpectrumError("residual spectrum has zero total power")
+    cumulative = np.cumsum(ordinates) / total
+    return float(np.sqrt(j_count) * np.max(np.abs(cumulative - j / j_count)))
+
+
+def _whiteness_step(y, trend_lo, trend_hi, critical_value, scale):
+    import ivssa
+
+    res_a = y.lo - trend_lo
+    res_b = y.hi - trend_hi
+    rms = float(np.sqrt(np.mean(res_a**2 + res_b**2)))
+    if rms <= ivssa.spectral.PERFECT_FIT_RTOL * scale:
+        return math.nan, True, True
+    try:
+        ks = _periodogram_step(*ivssa.phi_arrays(res_a, res_b))
+    except ivssa.DegenerateSpectrumError:
+        return math.nan, True, True
+    return ks, ks <= critical_value, False
+
+
+def select_loop(dec, y, series_index: int = 1, alpha: float = 0.05, max_m=None):
+    """``select_from_decomposition`` with one prefix per step."""
+    import ivssa
+    from ivssa.core import _integer
+
+    if not dec.eig.within_rank(1):
+        raise ivssa.ParameterError("decomposition has rank zero; nothing to select")
+    dec.series_block(series_index)
+    if len(y) != dec.series_length:
+        raise ivssa.ShapeError(
+            f"series length {len(y)} does not match decomposition length "
+            f"{dec.series_length}"
+        )
+    cap = ivssa.spectral.DEFAULT_MAX_M if max_m is None else _integer(max_m, "max_m", 1)
+    crit = ivssa.ks_critical_value(alpha)
+    scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
+    trace: list[float] = []
+    for i in range(1, cap + 1):
+        if not dec.eig.within_rank(i):
+            break
+        ca, cb = dec.component_channels((i,), series_index)
+        ta, tb = (ca[0], cb[0]) if i == 1 else (ta + ca[0], tb + cb[0])
+        lo, hi = ivssa.phi_arrays(ta, tb)
+        ks, accepted, perfect = _whiteness_step(y, lo, hi, crit, scale)
+        trace.append(ks)
+        if accepted:
+            return ivssa.SelectionResult(
+                m=i,
+                converged=True,
+                ks_trace=tuple(trace),
+                alpha=alpha,
+                critical_value=crit,
+                perfect_fit=perfect,
+            )
+    return ivssa.SelectionResult(
+        m=len(trace),
+        converged=False,
+        ks_trace=tuple(trace),
+        alpha=alpha,
+        critical_value=crit,
+    )
+
+
 # the fit as it was before large fits solved only what they read and before
 # fits worked on channels: the (stacked) trajectory grids, symbolic_covariance,
 # the complete eigensolve, and the endpoint projections u'A and u'B, at any

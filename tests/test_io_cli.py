@@ -192,6 +192,15 @@ class TestWriteCsv:
             text = fh.read()
         assert text == "a,b,c,d\n,true,1.5,\nx,false,3,-0.25\n"
 
+    def test_numpy_bool_cells_match_python_bools(self, tmp_path):
+        # a numpy bool column writes as the JSON emitter writes it
+        path = str(tmp_path / "t.csv")
+        flags = np.array([True, False])
+        write_table_csv(path, ["m", "converged"], zip([3, 40], flags))
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "m,converged\n3,true\n40,false\n"
+        assert json.loads(json_dumps(list(flags))) == [True, False]
+
 
 class TestJson:
     def test_float_round_trip(self):
@@ -248,6 +257,14 @@ class TestJson:
             atomic_write_text(str(target), "hello")
         assert f"cannot write {target}:" in str(info.value)
         assert os.listdir(tmp_path) == ["taken"]
+
+    def test_atomic_write_refuses_a_fifo(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OutputError, match=rf"^cannot write {fifo}: not a regular file$"):
+            atomic_write_text(str(fifo), "hello")
+        assert not fifo.is_file() and fifo.exists()
+        assert os.listdir(tmp_path) == ["fifo"]
 
     def test_float_run_patches(self):
         run = [0.0, -0.0, 3.0, math.nan, math.inf, -math.inf, 1e16, 1e17, 2.5e-7]
@@ -851,11 +868,29 @@ class TestCliOutputErrors:
         assert "configuration error: --format csv requires --out" in capsys.readouterr().err
 
     def test_write_failure_names_path(self, sample_csv, tmp_path):
-        # the directory exists, so the failure comes from the write itself
+        # the output path is an existing directory
         res = run_cli("select", "--input", sample_csv, "--out", str(tmp_path))
         assert res.returncode == 6
         assert f"cannot write {tmp_path}: Is a directory" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_special_out_fails_before_any_work(self, kind, tmp_path, monkeypatch, capsys):
+        def fail(**kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", fail)
+        out = tmp_path / "target"
+        if kind == "fifo":
+            os.mkfifo(out)
+        else:
+            out.mkdir()
+        code = cli.main(["mc", "--reps", "20", "--n-list", "20", "--out", str(out)])
+        assert code == 6
+        reason = "not a regular file" if kind == "fifo" else "Is a directory"
+        assert f"output error: cannot write {out}: {reason}" in capsys.readouterr().err
+        # the target is kept as it was, and no side table lands beside it
+        assert os.listdir(tmp_path) == ["target"] and not out.is_file()
 
 
 class TestCliMc:

@@ -349,13 +349,14 @@ class TestOnePrefixSum:
         assert dec.window == doc["params"]["window"]
 
         scanned = []
-        whiteness = ivssa.spectral.residual_whiteness
+        whiteness = ivssa.spectral._whiteness_rows
 
-        def record(y, lo, hi, *args, **kwargs):
-            scanned.append((lo.copy(), hi.copy()))
-            return whiteness(y, lo, hi, *args, **kwargs)
+        def record(y_lo, y_hi, lo, hi, *args):
+            # every prefix row of the block, in scan order
+            scanned.extend(zip(lo.copy(), hi.copy()))
+            return whiteness(y_lo, y_hi, lo, hi, *args)
 
-        monkeypatch.setattr(ivssa.spectral, "residual_whiteness", record)
+        monkeypatch.setattr(ivssa.spectral, "_whiteness_rows", record)
         for s, (y, rec) in enumerate(zip(series, doc["series"]), start=1):
             m = rec["m"]
             assert m >= 2  # a single component is trivially summed alike
@@ -368,6 +369,8 @@ class TestOnePrefixSum:
                 trend = trendline(dec, Grouping.leading(i))[s - 1]
                 assert trend.lo.tobytes() == scan_lo.tobytes()
                 assert trend.hi.tobytes() == scan_hi.tobytes()
-            assert doc_lo.tobytes() == scanned[-1][0].tobytes()
-            assert doc_hi.tobytes() == scanned[-1][1].tobytes()
+            # a block may test prefixes past m; prefix m is row m - 1
+            assert len(scanned) >= m
+            assert doc_lo.tobytes() == scanned[m - 1][0].tobytes()
+            assert doc_hi.tobytes() == scanned[m - 1][1].tobytes()
             assert np.array(rec["trendline"]["lo"]).tobytes() == doc_lo.tobytes()

@@ -17,8 +17,16 @@ from ivssa import (
     select_components,
     select_from_decomposition,
 )
-from helpers import assert_compares_by_identity, make_rng, random_series, structured_series
-from oracles import periodogram_loop
+from ivssa.simulation import METHODS, ScenarioConfig, _fits, simulate_scenario
+from helpers import (
+    assert_compares_by_identity,
+    long_shaped,
+    make_rng,
+    random_series,
+    structured_series,
+    weekly_shaped,
+)
+from oracles import periodogram_loop, select_loop
 
 
 def white_noise_series(seed: int, n: int) -> IntervalSeries:
@@ -123,6 +131,13 @@ class TestResidualWhiteness:
         lo = np.arange(40.0)
         y = IntervalSeries(lo, lo + 2.0)
         ks, accepted, perfect = residual_whiteness(y, lo - 1.0, lo + 1.0, 1.358)
+        assert math.isnan(ks) and accepted and perfect
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_perfect_fit_is_not_refused(self, n):
+        # zero residuals pass the rms test before any periodogram of n < 4
+        y = IntervalSeries(np.arange(n, dtype=float), np.arange(n) + 1.0)
+        ks, accepted, perfect = residual_whiteness(y, y.lo, y.hi, 1.358)
         assert math.isnan(ks) and accepted and perfect
 
     def test_short_residuals_rejected(self):
@@ -235,3 +250,83 @@ class TestSelection:
         dec = decompose(y)
         with pytest.raises(ShapeError):
             select_from_decomposition(dec, IntervalSeries(y.lo[:40], y.hi[:40]))
+
+
+def assert_same_selection(got, want):
+    assert (got.m, got.converged, got.perfect_fit) == (want.m, want.converged, want.perfect_fit)
+    assert (got.alpha, got.critical_value) == (want.alpha, want.critical_value)
+    assert np.array(got.ks_trace).tobytes() == np.array(want.ks_trace).tobytes()
+
+
+class TestBlockScan:
+    """The scan tests blocks of 1, 2, 4, ... prefixes at a time and must
+    give the per-step loop's result bit for bit, NaN included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weekly_shaped(self, seed):
+        y = weekly_shaped(400, seed)
+        want = select_loop(decompose(y), y)
+        assert want.m > 7  # the scan runs several blocks
+        assert_same_selection(select_from_decomposition(decompose(y), y), want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_long_shaped_solves_as_the_loop(self, seed):
+        # seed 5 reads past the gap block, the others stop within it
+        y = long_shaped(1000, seed)
+        dec, ref = decompose(y), decompose(y)
+        got, want = select_from_decomposition(dec, y), select_loop(ref, y)
+        assert_same_selection(got, want)
+        j = dec.eig._known.shape[1]
+        assert ("_solved" in vars(dec.eig)) == ("_solved" in vars(ref.eig))
+        if got.m <= j:
+            assert "_solved" not in vars(dec.eig)
+        assert (seed == 5) == (got.m > j)
+
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    def test_monte_carlo_fits(self, scenario):
+        for seed in range(3):
+            data = simulate_scenario(ScenarioConfig.from_name(scenario, 100, seed))
+            for method in METHODS:
+                for (dec, s), y in zip(_fits(method, data), (data.x, data.y)):
+                    want = select_loop(dec, y, series_index=s)
+                    assert_same_selection(select_from_decomposition(dec, y, series_index=s), want)
+
+    def test_perfect_fit_inside_a_block(self):
+        # trend and two cycles, constant width: rank 6, a perfect fit at
+        # the third prefix of the block 4..7
+        t = np.arange(1, 97)
+        mid = 5 + 0.1 * t + np.sin(2 * np.pi * t / 16) + 0.5 * np.sin(2 * np.pi * t / 7)
+        y = IntervalSeries(mid - 1, mid + 1)
+        got = select_from_decomposition(decompose(y), y)
+        assert (got.m, got.perfect_fit) == (6, True)
+        assert_same_selection(got, select_loop(decompose(y), y))
+
+    @pytest.mark.parametrize("max_m", range(1, 8))
+    def test_cap_cuts_a_block(self, max_m):
+        y = weekly_shaped(200, 3)
+        dec = decompose(y)
+        got = select_from_decomposition(dec, y, max_m=max_m)
+        assert (got.m, got.converged) == (max_m, False)
+        assert_same_selection(got, select_loop(dec, y, max_m=max_m))
+
+    def test_rank_stop_inside_a_block(self):
+        t = np.arange(120.0)
+        cycles = ((12, 3), (7, 2), (5, 1.5), (3.3, 1))
+        mid = 5 + sum(a * np.sin(2 * np.pi * t / p) for p, a in cycles)
+        y = IntervalSeries(mid - 0.5, mid + 0.5)
+        dec = decompose(y, rank_eps=0.03)
+        got = select_from_decomposition(dec, y)
+        assert (dec.d, got.m, got.converged) == (5, 5, False)
+        assert_same_selection(got, select_loop(decompose(y, rank_eps=0.03), y))
+
+    def test_three_values(self):
+        # a fit that is not perfect reaches the periodogram of 3 values
+        y = IntervalSeries(np.array([0.0, 1.0, 0.5]), np.array([1.0, 2.0, 2.5]))
+        for scan in (select_from_decomposition, select_loop):
+            with pytest.raises(ParameterError, match=r"^periodogram needs n >= 4, got 3$"):
+                scan(decompose(y), y)
+        # a perfect first prefix stops the scan before any periodogram
+        y = IntervalSeries(np.full(3, 2.0), np.full(3, 3.0))
+        got = select_from_decomposition(decompose(y), y)
+        assert (got.m, got.perfect_fit) == (1, True)
+        assert_same_selection(got, select_loop(decompose(y), y))
