@@ -112,26 +112,27 @@ def _load_input(path: str) -> list[IntervalSeries]:
     return series
 
 
-def _out_stem(out: str) -> str:
-    stem, ext = os.path.splitext(out)
-    return stem if ext.lower() == ".json" else out
-
-
 def _emit(args, doc, tables, always_csv: bool = False) -> None:
     """Write the JSON document and any CSV side tables.
 
     tables maps a suffix to a dict of named, equal-length columns taken
-    from the document; each lands at <stem>.<suffix>.csv beside the JSON
-    output, and its rows are zipped only when it is written.
+    from the document; each lands at <stem>.<suffix>.csv, stem being the
+    output path less a .json extension, and its rows are zipped only when
+    it is written.  Every target is checked before any is written, so a
+    refused one leaves no file.
     """
     if args.out is None:
         sys.stdout.write(json_dumps(doc) + "\n")
         return
+    stem, ext = os.path.splitext(args.out)
+    stem = stem if ext.lower() == ".json" else args.out
+    tabled = always_csv or args.format == "csv"
+    paths = [f"{stem}.{suffix}.csv" for suffix in tables if tabled]
+    for path in (args.out, *paths):
+        check_regular_target(path)
     write_json(args.out, doc)
-    if always_csv or args.format == "csv":
-        stem = _out_stem(args.out)
-        for suffix, cols in tables.items():
-            write_table_csv(f"{stem}.{suffix}.csv", list(cols), zip(*cols.values()))
+    for path, cols in zip(paths, tables.values()):
+        write_table_csv(path, list(cols), zip(*cols.values()))
 
 
 def _record_columns(records, keys=None, **renamed) -> dict:

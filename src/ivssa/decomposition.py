@@ -10,7 +10,8 @@ u_i of S with its projection u_i' Z, mid part then radius part.
 Component i is the rank-one matrix u_i (u_i' Z), never formed;
 ``Decomposition.component_channels`` diagonal-averages its mid and radius
 parts, maps them back to endpoints (``channel_endpoints``) and keeps the
-result, so each component of a fit is averaged once.
+leading components 1..m that every reader asks for, so each component of
+a fit is averaged once.
 
 A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
 eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
@@ -143,8 +144,8 @@ class EigenPairs:
     its values, its d and its columns past j after the known block, outside
     the fields, so a read changes no field and each output is the same
     whatever was read first.  ``leading(m)`` gives the first m columns and
-    solves for nothing it does not return; ``within_rank(i)`` tells whether
-    1 <= i <= d and reads d only past the gap.
+    solves for nothing it does not return; ``reach(i)`` says where a read
+    from i may stop, and ``within_rank(i)`` whether 1 <= i <= d.
     """
 
     _known: np.ndarray
@@ -180,10 +181,15 @@ class EigenPairs:
     def d(self) -> int:
         return self._solved[2]
 
+    def reach(self, i: int) -> int:
+        """Where a read from index i may stop: the gap j while i <= j, else d."""
+        j = self._known.shape[1]
+        return j if i <= j else self.d
+
     def within_rank(self, i: int) -> bool:
         """Whether 1 <= i <= d.  The known leading columns all lie within
         the rank, so d is read only for an i past them."""
-        return 1 <= i and (i <= self._known.shape[1] or i <= self.d)
+        return 1 <= i <= self.reach(i)
 
     def leading(self, m: int) -> np.ndarray:
         """The first m eigenvector columns, (rows, m)."""
@@ -371,8 +377,8 @@ class Decomposition:
     ``_projections`` computed.  Z itself (``_z``) is kept only while
     components remain to be projected, which is when ``eig`` holds part of
     a solve.  ``_rows`` maps a series index to the averaged endpoint
-    channels of every component ``component_channels`` has served for it,
-    16 n bytes each, so every reader averages a component once per fit.
+    channels (a, b) of its components 1..count, two (count, n) arrays, so
+    every reader averages a component once per fit.
     """
 
     mode: StackingMode
@@ -431,27 +437,23 @@ class Decomposition:
         series' block, channel by channel (``_averaged``).  Prefix sums of the
         rows (``np.cumsum(axis=0)``) give grouped trendlines.
 
-        A row is averaged on its first read and kept in ``_rows``; reads
-        return copies.  ``_averaged`` treats each row on its own, so a kept
-        row has the bits a fresh one would, whatever was read with it.
+        ``_rows`` keeps the rows of components 1..count; a read past count
+        averages count+1..max(indices) in one call, and reads return copies.
+        ``_averaged`` treats each row on its own, so a kept row has the bits
+        a fresh one would, whatever was read before it.
         """
         rows, cols = self.series_block(series_index)
-        if indices:
-            # the largest index first, so a grouping past d projects nothing
-            _component_index(self.eig, max(indices))
-        kept = self._rows.setdefault(int(series_index), {})
-        new = [i for i in dict.fromkeys(indices) if i not in kept]
-        u, mid, radius = [], [], []
-        for i in new:
-            i = _component_index(self.eig, i)
-            u.append(self.eig.leading(i)[rows, i - 1])
-            wc, wr = self._projections(i - 1)
-            mid.append(wc[cols])
-            radius.append(wr[cols])
-        if new:
-            kept.update(zip(new, zip(*_averaged(u, mid, radius, self._counts))))
-        shape = (len(indices), self.series_length)
-        return tuple(np.array([kept[i][c] for i in indices]).reshape(shape) for c in (0, 1))
+        # the largest index first, so a grouping past d projects nothing
+        top = _component_index(self.eig, max(indices)) if indices else 0
+        idx = [_component_index(self.eig, i) - 1 for i in indices]
+        a, b = self._rows.get(int(series_index), (np.empty((0, self.series_length)),) * 2)
+        if top > len(a):
+            w = np.array([self._projections(i) for i in range(len(a), top)])[..., cols]
+            u = self.eig.leading(top)[rows, len(a) :].T
+            new = _averaged(u, w[:, 0], w[:, 1], self._counts)
+            a, b = np.vstack((a, new[0])), np.vstack((b, new[1]))
+            self._rows[int(series_index)] = (a, b)
+        return a[idx], b[idx]
 
     @cached_property
     def _counts(self) -> np.ndarray:

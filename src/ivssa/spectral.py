@@ -9,10 +9,11 @@ its plug-in spectrum is therefore the sum of the two channels' squared DFT
 moduli over 2*pi*n, so no autocovariance is formed.
 
 The scan tests prefixes in blocks of 1, 2, 4, ... at a time: one
-``component_channels`` read, prefix sums that carry the last trendline in,
+``component_channels`` read of the leading components, their prefix sums,
 and one row-wise pass (``_whiteness_rows``: residuals, rms test, one real
-FFT per row, KS statistic) per block, cut at the first accepted prefix.
-Each row has the bits of the one-prefix-per-step scan.
+FFT per row, KS statistic) over the block's rows, cut at the first
+accepted prefix.  ``np.cumsum`` adds in order, so each row has the bits of
+the one-prefix-per-step scan.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def _whiteness_rows(
     if n < 4 and not perfect[0]:
         raise ParameterError(f"periodogram needs n >= 4, got {n}")
     j_count = (n - 1) // 2
-    spec = np.fft.rfft(symbolic_channels(*phi_arrays(res_a, res_b)))[..., 1 : j_count + 1]
+    # the channels of phi(res): the mid as is, and |radius|, bit for bit
+    c, r = symbolic_channels(res_a, res_b)
+    spec = np.fft.rfft((c, np.abs(r)))[..., 1 : j_count + 1]
     ordinates = (spec.real**2 + spec.imag**2).sum(axis=0) / (2.0 * np.pi * n)
     total = ordinates.sum(axis=1, keepdims=True)
     perfect |= total[:, 0] <= 0.0
@@ -130,17 +133,14 @@ def residual_whiteness(
     trend_lo: np.ndarray,
     trend_hi: np.ndarray,
     critical_value: float,
-    scale: float | None = None,
 ) -> tuple[float, bool, bool]:
     """Test residuals of a candidate trendline for white noise.
 
     Returns (ks_stat, accepted, perfect_fit); ks_stat is NaN when the fit is
-    declared perfect (residuals at float-noise level or a degenerate
-    spectrum).
+    declared perfect (residual rms at most PERFECT_FIT_RTOL times y's, or a
+    degenerate spectrum).
     """
-    if scale is None:
-        scale = float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
-    floor = PERFECT_FIT_RTOL * scale
+    floor = PERFECT_FIT_RTOL * float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
     ks, perfect = _whiteness_rows(y.lo[None], y.hi[None], trend_lo, trend_hi, floor)[2:]
     return float(ks[0]), bool(perfect[0] or ks[0] <= critical_value), bool(perfect[0])
 
@@ -190,21 +190,15 @@ def select_from_decomposition(
     while not converged and i <= cap and dec.eig.within_rank(i):  # d read past the gap only
         # prefixes i..stop in one block of at most i rows, inside the known
         # gap block while the scan is in it, so an early stop solves nothing
-        j = dec.eig._known.shape[1]
-        stop = min(2 * i - 1, cap, j if i <= j else dec.eig.d)
-        ca, cb = dec.component_channels(range(i, stop + 1), series_index)
-        if i > 1:  # carry prefix i-1 in: the adds of np.cumsum over all rows
-            ca[0] += ta
-            cb[0] += tb
-        ca.cumsum(axis=0, out=ca)
-        cb.cumsum(axis=0, out=cb)
-        lo, hi = phi_arrays(ca, cb)
+        stop = min(2 * i - 1, cap, dec.eig.reach(i))
+        ca, cb = dec.component_channels(range(1, stop + 1), series_index)
+        lo, hi = phi_arrays(np.cumsum(ca, axis=0)[i - 1 :], np.cumsum(cb, axis=0)[i - 1 :])
         ks, perfect = _whiteness_rows(y.lo, y.hi, lo, hi, floor)[2:]
         hits = np.flatnonzero(perfect | (ks <= crit))
         r = hits[0] if hits.size else ks.size - 1  # the trace ends at the first accepted row
         trace += ks[: r + 1].tolist()
         converged, perfect_fit = bool(hits.size), bool(perfect[r])
-        ta, tb, i = ca[-1], cb[-1], stop + 1
+        i = stop + 1
     return SelectionResult(
         m=len(trace),
         converged=converged,

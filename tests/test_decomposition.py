@@ -486,6 +486,22 @@ class TestLargeFits:
         assert np.array_equal(eig.vectors[:, j:], want.vectors[:, j:])
         assert np.array_equal(eig.vectors[:, :j], _gap_block(eig._s, DEFAULT_RANK_EPS))
 
+    def test_reach_agrees_with_within_rank(self):
+        """A read from i may stop at the gap j while i <= j, at d past it;
+        within_rank(i) is 1 <= i <= reach(i), and d is read only past j."""
+        y = long_shaped(2 * _LAZY_ROWS + 9, seed=2)
+        small = decompose(structured_series(60, seed=12, noise=0.3))
+        large = decompose(y, _LAZY_ROWS)
+        j = large.eig._known.shape[1]
+        for i in range(-1, j + 1):
+            assert large.eig.reach(i) == j
+            assert large.eig.within_rank(i) == (i >= 1)
+        assert "_solved" not in vars(large.eig)
+        for eig, gap in ((large.eig, j), (small.eig, small.d)):
+            for i in range(-1, eig.d + 3):
+                assert eig.reach(i) == (gap if i <= gap else eig.d)
+                assert eig.within_rank(i) == (1 <= i <= eig.d) == (1 <= i <= eig.reach(i))
+
     def test_bits_independent_of_read_order(self):
         y = long_shaped(2 * _LAZY_ROWS + 9, seed=2)
         # d first, then the gap components, past the gap, and the eigenvalues

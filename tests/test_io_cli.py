@@ -892,6 +892,23 @@ class TestCliOutputErrors:
         # the target is kept as it was, and no side table lands beside it
         assert os.listdir(tmp_path) == ["target"] and not out.is_file()
 
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize(
+        "argv, table", [(["forecast"], "forecast"), (["decompose", "--format", "csv"], "series1")]
+    )
+    def test_special_side_table_writes_nothing(self, kind, argv, table, sample_csv, tmp_path, capsys):
+        target = tmp_path / f"out.{table}.csv"
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            target.mkdir()
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--input", sample_csv, "--out", str(out)]) == 6
+        reason = "not a regular file" if kind == "fifo" else "Is a directory"
+        assert f"output error: cannot write {target}: {reason}" in capsys.readouterr().err
+        # neither the document nor any other side table was written
+        assert os.listdir(tmp_path) == [target.name] and not target.is_file()
+
 
 class TestCliMc:
     def test_tables_written(self, tmp_path):

@@ -258,6 +258,27 @@ class TestComponentChannels:
         for c, w in zip(dec.component_channels(range(1, 4)), want):
             assert c.tobytes() == w.tobytes()
 
+    def test_non_leading_first_read(self, monkeypatch):
+        """A first read of component 5 alone keeps components 1..5, and a
+        read of 1..7 then averages only 6 and 7; both return a fresh fit's
+        bytes."""
+        y = random_series(make_rng(23), 40)
+        dec, fresh = decompose(y, 12), decompose(y, 12)
+        want = fresh.component_channels(range(1, 8))
+        averaged = []
+        kernel = ivssa.decomposition._averaged
+
+        def record(u, *args):
+            averaged.append(len(u))
+            return kernel(u, *args)
+
+        monkeypatch.setattr(ivssa.decomposition, "_averaged", record)
+        for indices in ((5,), range(1, 8)):
+            got = dec.component_channels(indices)
+            for channel, all_rows in zip(got, want):
+                assert channel.tobytes() == all_rows[[i - 1 for i in indices]].tobytes()
+        assert averaged == [5, 2]
+
     def test_readme_pipeline_averages_each_component_once(self, monkeypatch):
         averaged = []
         kernel = ivssa.decomposition._averaged
