@@ -124,15 +124,21 @@ def _emit(args, doc, tables, always_csv: bool = False) -> None:
     if args.out is None:
         sys.stdout.write(json_dumps(doc) + "\n")
         return
-    stem, ext = os.path.splitext(args.out)
-    stem = stem if ext.lower() == ".json" else args.out
-    tabled = always_csv or args.format == "csv"
-    paths = [f"{stem}.{suffix}.csv" for suffix in tables if tabled]
-    for path in (args.out, *paths):
-        check_regular_target(path)
+    paths = _checked_targets(args, tables, always_csv)
     write_json(args.out, doc)
     for path, cols in zip(paths, tables.values()):
         write_table_csv(path, list(cols), zip(*cols.values()))
+
+
+def _checked_targets(args, suffixes, always_csv: bool) -> list[str]:
+    """The side-table paths of ``_emit``, once they and ``args.out`` pass as targets."""
+    stem, ext = os.path.splitext(args.out)
+    stem = stem if ext.lower() == ".json" else args.out
+    tabled = always_csv or args.format == "csv"
+    paths = [f"{stem}.{suffix}.csv" for suffix in suffixes if tabled]
+    for path in (args.out, *paths):
+        check_regular_target(path)
+    return paths
 
 
 def _record_columns(records, keys=None, **renamed) -> dict:
@@ -422,6 +428,9 @@ def cmd_mc(args) -> None:
     )
     n_list = _parse_int_list(args.n_list, "--n-list")
     m_list = _parse_int_list(args.m_list, "--m-list")
+    names = ("hr_rows", "selection_rows", "hr_summary", "selection_summary")
+    if args.out is not None:  # refuse a bad target before the study, not after
+        _checked_targets(args, names, always_csv=True)
     report = run_monte_carlo(
         scenarios=scenarios,
         n_list=n_list,
@@ -436,10 +445,7 @@ def cmd_mc(args) -> None:
     doc.update(report.to_dict())
     # every table keeps its records' fields in order, but the histogram,
     # flattened to "m:count;...", moves to the last column
-    tables = {
-        name: _record_columns(doc[name])
-        for name in ("hr_rows", "selection_rows", "hr_summary", "selection_summary")
-    }
+    tables = {name: _record_columns(doc[name]) for name in names}
     modes = tables["selection_summary"]
     modes["histogram"] = [
         ";".join(f"{m}:{c}" for m, c in h.items()) for h in modes.pop("histogram")

@@ -15,12 +15,13 @@ a fit is averaged once.
 
 A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
 eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
-fit computes only what is read (``_eigen_pairs``): block subspace
-iteration with Rayleigh-Ritz finds the leading eigenvectors up to a clear
-spectral gap j, whose eigenvalues lie provably above the rank cutoff, so
-every index up to j is known to be at most d.  The first read of d, of the
-eigenvalues or of an eigenvector past the gap runs one complete solve for
-all three, and the projections past the gap follow on first read.
+fit computes only what is read (``_build``): block subspace iteration
+multiplying by Z (Z' Q), by FFT while it converges and directly where it
+certifies, finds the leading eigenvectors up to a clear spectral gap j,
+whose eigenvalues lie provably above the rank cutoff, so every index up to
+j is known to be at most d.  The first read of d, of the eigenvalues or of
+an eigenvector past the gap forms S for one complete solve for all three,
+and the projections past the gap follow on first read.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ _RANK_MARGIN = 16
 #: bounds the part of x_i along the eigenvectors past the gap (Davis-Kahan),
 #: so the columns a full solve adds later stay orthogonal to it.
 _ANGLE_TOL = 1e-13
+
+#: FFT passes (rounding relative to the largest term) hand over to direct
+#: ones once the largest gap's residuals meet this many times _ANGLE_TOL.  On
+#: 150 ``long`` bench inputs (l = 501; 0.25 ms per FFT pass, 0.5 ms direct)
+#: 1e3 took 4.2 FFT and 1.0 direct passes per fit, 1e2 5.0 and 1.0, 1e4 4.0 and 1.2.
+_SWITCH = 1e3
 
 
 def _pair_channels(y: PairMatrix) -> np.ndarray:
@@ -138,33 +145,33 @@ class EigenPairs:
     cutoff: the number of eigenvalues exceeding rank_eps * lambda_1.
 
     ``EigenPairs(values, vectors, d)`` holds a complete solve.  The pairs of
-    a large fit (see ``_eigen_pairs``) hold S, rank_eps and S's leading
-    eigenvectors up to a spectral gap j <= d.  The first read of ``d``, of
-    ``values`` or of a column past j runs one ``eigen_sym`` of S and keeps
-    its values, its d and its columns past j after the known block, outside
-    the fields, so a read changes no field and each output is the same
-    whatever was read first.  ``leading(m)`` gives the first m columns and
-    solves for nothing it does not return; ``reach(i)`` says where a read
-    from i may stop, and ``within_rank(i)`` whether 1 <= i <= d.
+    a large fit (see ``_build``) hold Z, rank_eps and the leading
+    eigenvectors of S = Z Z' up to a gap j <= d.  The first read of ``d``,
+    of ``values`` or of a column past j forms S for one ``eigen_sym`` and
+    keeps its values, its d and its columns past j after the known block,
+    outside the fields, so a read changes no field and each output is the
+    same whatever was read first.  ``leading(m)`` gives the first m columns
+    and solves for nothing it does not return; ``reach(i)`` says where a
+    read from i may stop, and ``within_rank(i)`` whether 1 <= i <= d.
     """
 
     _known: np.ndarray
-    _s: np.ndarray | None
+    _z: np.ndarray | None
     _rank_eps: float | None
 
     def __init__(self, values: np.ndarray | None, vectors: np.ndarray, d: int | None,
-                 s: np.ndarray | None = None, rank_eps: float | None = None):
-        """A complete solve, or, with S and rank_eps given and ``values``
-        and ``d`` None, S's leading eigenvectors ``vectors`` up to a gap."""
-        _fill(self, _known=vectors if d is None else vectors[:, :d], _s=s, _rank_eps=rank_eps)
+                 z: np.ndarray | None = None, rank_eps: float | None = None):
+        """A complete solve, or, with Z and rank_eps given and ``values``
+        and ``d`` None, the leading eigenvectors of S = Z Z' up to a gap."""
+        _fill(self, _known=vectors if d is None else vectors[:, :d], _z=z, _rank_eps=rank_eps)
         if d is not None:
             _fill(self, _solved=(values, vectors, d))
 
     @cached_property
     def _solved(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(values, vectors, d) of the complete solve of S, whose columns
-        past the gap follow the known block."""
-        full = eigen_sym(self._s, self._rank_eps)
+        """(values, vectors, d) of the complete solve of S, formed here and
+        dropped after it, whose columns past the gap follow the known block."""
+        full = eigen_sym(_symmetric_product(self._z), self._rank_eps)
         vectors = np.hstack((self._known, full.vectors[:, self._known.shape[1] :]))
         vectors.flags.writeable = False
         return full.values, vectors, full.d
@@ -286,28 +293,64 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors, d=int(d[0]))
 
 
-def _gap_block(s: np.ndarray, rank_eps: float) -> np.ndarray | None:
-    """The leading eigenvectors of S up to its last clear spectral gap
-    within one block, sign-normalised, or None.
+class _Hankel:
+    """Products with a large fit's Z by FFT, diag S and trace S.
+
+    Band (r, c) of Z is the window H_ij = v_{i+j} of one channel series v:
+    series r's channel c stacked vertically, else channel c // D of series
+    c % D.  (H'q)_j and (H w)_i are entries l-1.. and k-1.. of v convolved
+    with the reversed q and w, which a cyclic convolution of n or more
+    points leaves unwrapped (Korobeynikov 2010).
+    """
+
+    def __init__(self, channels: Sequence, window: int, mode: StackingMode):
+        v = np.array(channels)  # (D, 2, n)
+        if mode is not StackingMode.VERTICAL:
+            v = v.transpose(1, 0, 2).reshape(1, -1, v.shape[-1])
+        n = v.shape[-1]
+        self._n, self._size = n, 1 << (n - 1).bit_length()  # a fast FFT length
+        self._f = np.fft.rfft(v, self._size)  # (row bands, column bands, frequencies)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.cumsum(np.pad(np.square(v).sum(axis=1), ((0, 0), (1, 0))), axis=1)
+            self.diag = (sums[:, n - window + 1 :] - sums[:, :window]).ravel()
+            self.trace = self.diag.sum()  # ||Z||_F^2
+
+    def dot(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Z X, or Z' X: band o sums X's bands i correlated with series (o, i)."""
+        f = self._f if transpose else self._f.transpose(1, 0, 2)  # (in, out, frequencies)
+        x = x.T.reshape(x.shape[1], len(f), 1, -1)
+        y = (f * np.fft.rfft(x[..., ::-1], self._size)).sum(axis=1)
+        return np.fft.irfft(y, self._size)[..., x.shape[-1] - 1 : self._n].reshape(len(x), -1).T
+
+
+def _gap_block(z: np.ndarray, op: _Hankel, rank_eps: float) -> np.ndarray | None:
+    """The leading eigenvectors of S = Z Z' up to its last clear spectral
+    gap within one block, sign-normalised, or None.
 
     Block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
     SIAM Review 2011), started from the _BLOCK columns of S with the
     largest diagonal entries.  Each pass orthonormalises the block,
-    multiplies it by S and rotates it onto the Ritz vectors of S on its
-    span.  A gap is an index j among the first _BLOCK - _GUARD with
-    theta_{j+1} <= _GAP_RATIO * theta_j and theta_j above the rank cutoff
-    by _RANK_MARGIN (so j <= d).
-    X keeps the first j columns once their residuals meet _ANGLE_TOL, for
-    the largest gap j of the pass; after _PASSES passes, for the largest gap
-    whose columns have converged.  None when there is no such gap.
+    multiplies it by S = Z Z' and rotates it onto the Ritz vectors.  A gap
+    is an index j among the first _BLOCK - _GUARD with theta_{j+1} <=
+    _GAP_RATIO * theta_j and theta_j above the rank cutoff by _RANK_MARGIN
+    (so j <= d).  The passes multiply by FFT (``_Hankel``) until the largest
+    gap's residuals meet _SWITCH * _ANGLE_TOL, then, and in the last pass,
+    by Z (Z' Q) directly.  Only a direct pass keeps the first j columns,
+    once their residuals meet _ANGLE_TOL, for the largest gap j of the pass
+    or, in the last pass, the largest converged one.  None without such a
+    gap, or when trace S is zero or not finite.
     """
-    x = s[:, np.argsort(np.diag(s), kind="stable")[::-1][:_BLOCK]]
+    if not 0 < op.trace < np.inf:
+        return None
+    x = op.dot(z[np.argsort(op.diag, kind="stable")[::-1][:_BLOCK]].T)
     top = _BLOCK - _GUARD
     # lambda_1 <= trace S, as S = Z Z' is positive semidefinite
-    floor = (rank_eps + _RANK_MARGIN * len(s) * np.finfo(float).eps) * np.trace(s)
+    floor = (rank_eps + _RANK_MARGIN * len(z) * np.finfo(float).eps) * op.trace
+    direct = False
     for p in range(_PASSES):
+        direct |= p == _PASSES - 1
         q = np.linalg.qr(x)[0]
-        sq = s @ q
+        sq = z @ (z.T @ q) if direct else op.dot(op.dot(q, transpose=True))
         theta, v = np.linalg.eigh(q.T @ sq)
         theta, v = theta[::-1], v[:, ::-1]
         x, sx = q @ v, sq @ v
@@ -318,32 +361,16 @@ def _gap_block(s: np.ndarray, rank_eps: float) -> np.ndarray | None:
         candidates = gaps[::-1] if p == _PASSES - 1 else gaps[-1:]
         if candidates.size:
             residual = np.linalg.norm(sx[:, :top] - x[:, :top] * theta[:top], axis=0)
-            for j in candidates:
-                if np.all(residual[:j] <= _ANGLE_TOL * (theta[:j] - theta[j])):
-                    lead = x[:, :j].copy()
-                    _fix_signs(lead)
-                    lead.flags.writeable = False
-                    return lead
+            tol = _ANGLE_TOL if direct else _SWITCH * _ANGLE_TOL
+            met = [j for j in candidates if np.all(residual[:j] <= tol * (theta[:j] - theta[j]))]
+            if met and direct:
+                lead = x[:, : met[0]].copy()
+                _fix_signs(lead)
+                lead.flags.writeable = False
+                return lead
+            direct |= bool(met)
         x = sx
     return None
-
-
-def _eigen_pairs(s: np.ndarray, rank_eps: float) -> EigenPairs:
-    """Eigenpairs of a fit's S, solved only as far as they are read.
-
-    Below _LAZY_ROWS rows this is ``eigen_sym``.  A finite, exactly
-    symmetric, nonzero S of at least that many keeps its leading
-    eigenvectors up to a spectral gap (``_gap_block``), and runs the
-    complete solve for the rest on first read (see ``EigenPairs``).  Any other S, or one without a converged gap, takes
-    ``eigen_sym``'s complete solve, which also raises its errors.
-    """
-    if len(s) >= _LAZY_ROWS:
-        _check_rank_eps(rank_eps)
-        if np.isfinite(s).all() and s.any() and np.array_equal(s, s.T):
-            lead = _gap_block(s, rank_eps)
-            if lead is not None:
-                return EigenPairs(None, lead, None, s, rank_eps)
-    return eigen_sym(s, rank_eps)
 
 
 def _averaged(
@@ -468,10 +495,17 @@ def _build(
     series: Sequence[IntervalSeries], window: int, mode: StackingMode, rank_eps: float
 ) -> Decomposition:
     """The one fit: Z of the series' channels (``_embed``), the eigenpairs of
-    S = Z Z' (``_eigen_pairs``), and the projections u' Z on the
-    eigenvectors known so far."""
-    z = _embed([symbolic_channels(y.lo, y.hi) for y in series], window, mode)
-    eig = _eigen_pairs(_symmetric_product(z), rank_eps)
+    S = Z Z', and the projections u' Z on the eigenvectors known so far.
+    Below _LAZY_ROWS rows, or without a converged gap (``_gap_block``), the
+    eigenpairs are ``eigen_sym``'s, which also raises its errors."""
+    channels = [symbolic_channels(y.lo, y.hi) for y in series]
+    z = _embed(channels, window, mode)
+    lead = None
+    if len(z) >= _LAZY_ROWS:
+        _check_rank_eps(rank_eps)
+        lead = _gap_block(z, _Hankel(channels, window, mode), rank_eps)
+    eig = (eigen_sym(_symmetric_product(z), rank_eps) if lead is None
+           else EigenPairs(None, lead, None, z, rank_eps))
     has_rank = eig.within_rank(1)  # d >= 1, which a gap block proves
     if not has_rank and any(y.lo.any() or y.hi.any() for y in series):
         raise InvalidValueError(_UNDERFLOW)
@@ -487,7 +521,7 @@ def _build(
     )
     if has_rank:
         dec._projections(0)
-    if eig._s is None:  # a complete solve: every component is projected
+    if eig._z is None:  # a complete solve: every component is projected
         _fill(dec, _z=None)
     return dec
 

@@ -48,6 +48,8 @@ from ivssa.decomposition import (
     _averaged,
     _checked_eigh,
     _gap_block,
+    _Hankel,
+    _symmetric_product,
 )
 from ivssa.embedding import _embed
 from ivssa.io import write_series_csv
@@ -324,6 +326,76 @@ class TestDecompose:
         assert np.allclose(dec.eig.values, sing**2, rtol=1e-10, atol=1e-10)
 
 
+class TestHankelOperator:
+    """``_Hankel`` against the channel matrix Z that ``_embed`` forms."""
+
+    @pytest.mark.parametrize(
+        "n, window",
+        # k = l, k > l and k < l at odd and even n, and two FFT lengths
+        # past n (1024 for 1000, 2048 for 1025)
+        [(9, 5), (11, 3), (11, 8), (10, 4), (10, 7), (12, 6), (1000, 501), (1025, 400)],
+    )
+    @pytest.mark.parametrize(
+        "mode, count",
+        [(StackingMode.UNIVARIATE, 1)]
+        + [(m, c) for m in (StackingMode.VERTICAL, StackingMode.HORIZONTAL) for c in (1, 2, 3)],
+    )
+    def test_products_match_direct(self, mode, count, n, window):
+        rng = make_rng(n + 7 * count)
+        # series at three scales, each with a level that dominates its FFT
+        ends = [np.sort(rng.normal(5.0, 1.0, (2, n)), axis=0) for _ in range(count)]
+        channels = [symbolic_channels(lo, hi) for lo, hi in ends]
+        channels = [(c * 10.0**i, r * 10.0**i) for i, (c, r) in enumerate(channels)]
+        z = _embed(channels, window, mode)
+        op = _Hankel(channels, window, mode)
+        q, w = rng.normal(size=(len(z), 3)), rng.normal(size=(z.shape[1], 3))
+        for got, want in ((op.dot(q, transpose=True), z.T @ q), (op.dot(w), z @ w)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(op.diag - np.einsum("ij,ij->i", z, z))) <= 1e-13 * op.diag.max()
+
+    @pytest.mark.parametrize("mode", list(StackingMode))
+    def test_reads_within_the_gap_never_form_s(self, mode, monkeypatch):
+        # S = Z Z' is formed once, by the first read past the gap, and is
+        # the product of the fit's own Z bit for bit
+        formed = []
+
+        def counted(z):
+            formed.append(_symmetric_product(z))
+            return formed[-1]
+
+        monkeypatch.setattr(decomposition, "_symmetric_product", counted)
+        if mode is StackingMode.UNIVARIATE:
+            series, window = [long_shaped(2 * _LAZY_ROWS + 9, seed=1)], _LAZY_ROWS
+        elif mode is StackingMode.VERTICAL:
+            n = 3 * (_LAZY_ROWS // 2) - 1
+            series, window = [long_shaped(n, 1), long_shaped(n, 2)], _LAZY_ROWS // 2
+        else:
+            n = 3 * _LAZY_ROWS // 2
+            series, window = [long_shaped(n, 1), long_shaped(n, 2)], _LAZY_ROWS
+        dec = decompose_stacked(series, window, mode)
+        j = dec.eig._known.shape[1]
+        assert dec.eig._z is not None and j >= 1
+        for s in range(1, len(series) + 1):
+            dec.component_channels(range(1, j + 1), s)
+        recurrence_coefficients(dec.eig, Grouping.leading(j))
+        dec.eig.leading(j)
+        assert dec.eig.within_rank(j) and dec.eig.reach(j) == j
+        assert formed == []
+        dec.component_channels((j + 1,))
+        dec.d
+        dec.eig.values
+        dec.eig.vectors
+        assert len(formed) == 1
+        assert np.array_equal(formed[0], _symmetric_product(dec._z))
+
+
+def rerun_gap_block(dec, series) -> np.ndarray | None:
+    """``_gap_block`` run again on a fit's Z and its series' channels."""
+    channels = [symbolic_channels(y.lo, y.hi) for y in series]
+    return _gap_block(dec._z, _Hankel(channels, dec.window, dec.mode), DEFAULT_RANK_EPS)
+
+
 def count_solves(monkeypatch) -> list:
     """The matrices that ``ivssa.decomposition`` passes to ``eigen_sym``
     from now on, one per complete solve."""
@@ -425,20 +497,24 @@ class TestLargeFits:
         other = shape(n, seed + 1)
         series = [shape(n, seed), IntervalSeries(other.lo * scale, other.hi * scale)]
         dec = decompose_stacked(series, window, mode)
-        assert dec.eig._s is not None
+        assert dec.eig._z is not None
         assert_matches_complete_solve(dec, decompose_full(series, window, mode=mode))
 
     @pytest.mark.parametrize("mode", [StackingMode.VERTICAL, StackingMode.HORIZONTAL])
     def test_stacked_level_beside_a_sine(self, mode):
         # a constant interval holds S's largest diagonal entries and its
-        # leading eigenvector; the sine's pair must still be found
+        # leading eigenvector; the sine's pair must still be found.  Stacked
+        # vertically, theta_4 = 2.0e-3 theta_1 lies at the floor of
+        # certification, and the direct products Z (Z' Q) certify the gap
+        # after it (residual 0.34 of its bound, on 1 and 2 BLAS threads)
         t = np.arange(3 * _LAZY_ROWS // 2)
         sine = np.sin(2 * np.pi * t / 40.0)
         level = np.full(t.size, 2.0)
         series = [IntervalSeries(sine, sine + 0.5), IntervalSeries(level, level + 1.0)]
         window = _LAZY_ROWS // 2 + 1 if mode is StackingMode.VERTICAL else _LAZY_ROWS + 1
         dec = decompose_stacked(series, window, mode)
-        assert dec.eig._s is not None and dec.eig._known.shape[1] == 3
+        j = 4 if mode is StackingMode.VERTICAL else 3
+        assert dec.eig._z is not None and dec.eig._known.shape[1] == j
         assert_matches_complete_solve(dec, decompose_full(series, window, mode=mode))
 
     def test_gap_path_reads_past_the_gap(self, monkeypatch):
@@ -450,7 +526,7 @@ class TestLargeFits:
         y = long_shaped(2 * _LAZY_ROWS + 9, seed=1)
         dec = decompose(y, _LAZY_ROWS)
         eig = dec.eig
-        assert eig._s is not None and eig._known.shape[1] == 3
+        assert eig._z is not None and eig._known.shape[1] == 3
         assert "_solved" not in vars(eig) and solves == []
         known = eig.leading(3).copy()
         dec.component_channels((4,))
@@ -468,7 +544,7 @@ class TestLargeFits:
         dec = decompose(y, _LAZY_ROWS)
         eig = dec.eig
         j = eig._known.shape[1]
-        assert eig._s is not None and solves == []
+        assert eig._z is not None and solves == []
         reads = {
             "d": lambda: dec.d,
             "values": lambda: eig.values,
@@ -476,15 +552,15 @@ class TestLargeFits:
             "vectors": lambda: eig.vectors,
         }
         reads[first]()
-        assert len(solves) == 1 and solves[0] is eig._s
+        assert len(solves) == 1 and np.array_equal(solves[0], _symmetric_product(dec._z))
         for read in reads.values():
             read()
         assert len(solves) == 1
-        want = eigen_sym(eig._s)
+        want = eigen_sym(_symmetric_product(dec._z))
         assert dec.d == want.d
         assert np.array_equal(eig.values, want.values)
         assert np.array_equal(eig.vectors[:, j:], want.vectors[:, j:])
-        assert np.array_equal(eig.vectors[:, :j], _gap_block(eig._s, DEFAULT_RANK_EPS))
+        assert np.array_equal(eig.vectors[:, :j], rerun_gap_block(dec, [y]))
 
     def test_reach_agrees_with_within_rank(self):
         """A read from i may stop at the gap j while i <= j, at d past it;
@@ -508,7 +584,7 @@ class TestLargeFits:
         first = decompose(y, _LAZY_ROWS)
         d = first.d
         j = first.eig._known.shape[1]
-        assert first.eig._s is not None and j + 40 < d
+        assert first.eig._z is not None and j + 40 < d
         indices = range(1, j + 41)
         lead = first.component_channels(range(1, j + 1))
         past = first.component_channels(range(j + 1, j + 41))
@@ -554,7 +630,7 @@ class TestLargeFits:
         else:
             y = long_shaped(2 * _LAZY_ROWS - 1, seed=6)
         dec = decompose(y, _LAZY_ROWS)
-        assert dec.eig._s is not None
+        assert dec.eig._z is not None
         before = field_digest(dec)
         assert dec.d == (3 if sine_only else _LAZY_ROWS)
         dec.eig.values
@@ -583,7 +659,7 @@ class TestLargeFits:
     def test_past_the_rank_messages_match_complete_solve(self):
         y = long_shaped(2 * _LAZY_ROWS - 1, seed=8)
         dec, ref = decompose(y, _LAZY_ROWS), decompose_full(y, _LAZY_ROWS)
-        assert dec.eig._s is not None and ref.d == _LAZY_ROWS
+        assert dec.eig._z is not None and ref.d == _LAZY_ROWS
         past = _LAZY_ROWS + 1
         for call in (
             lambda fit: recurrence_coefficients(fit.eig, Grouping.leading(past)),
@@ -606,7 +682,7 @@ class TestLargeFits:
         values = decompose_full(y, _LAZY_ROWS).eig.values
         rank_eps = values[2] / values[0] * (1 - 1e-6)
         dec = decompose(y, _LAZY_ROWS, rank_eps=rank_eps)
-        assert dec.eig._s is not None and dec.eig._known.shape[1] == 1
+        assert dec.eig._z is not None and dec.eig._known.shape[1] == 1
         assert dec.d == decompose_full(y, _LAZY_ROWS, rank_eps=rank_eps).d == 3
 
     def test_rank_deficient_covariance_exact_rank(self, monkeypatch):
@@ -616,8 +692,8 @@ class TestLargeFits:
         s = np.sin(2 * np.pi * t / 40.0)
         y = IntervalSeries(s, s + 1.0)
         dec = decompose(y, _LAZY_ROWS)
-        assert dec.eig._s is not None
-        want = eigen_sym(dec.eig._s)
+        assert dec.eig._z is not None
+        want = eigen_sym(_symmetric_product(dec._z))
         solves = count_solves(monkeypatch)
         assert dec.d == want.d == 3
         assert np.array_equal(dec.eig.values, want.values)
@@ -630,14 +706,14 @@ class TestLargeFits:
         mid = np.random.default_rng(0).normal(0.0, 1.0, 2 * _LAZY_ROWS)
         y = IntervalSeries(mid - 1e-3, mid + 1e-3)
         dec = decompose(y)
-        assert dec.window >= _LAZY_ROWS and dec.eig._s is None
+        assert dec.window >= _LAZY_ROWS and dec.eig._z is None
         assert dec.d == 401
         assert assert_matches_complete_solve(dec, decompose_full(y)) == 401
 
     def test_rank_eps_zero(self):
         y = long_shaped(2 * _LAZY_ROWS - 1, seed=3)
         dec = decompose(y, _LAZY_ROWS, rank_eps=0.0)
-        assert dec.eig._s is not None
+        assert dec.eig._z is not None
         assert dec.d == decompose_full(y, _LAZY_ROWS, rank_eps=0.0).d == _LAZY_ROWS
 
     @pytest.mark.parametrize("rank_eps", [math.nan, 1.0, -1.0])
@@ -672,7 +748,7 @@ class TestLargeFits:
         y = long_shaped(2 * _LAZY_ROWS - 3, seed=5)
         window = _LAZY_ROWS - 1
         dec, ref = decompose(y, window), decompose_full(y, window)
-        assert dec.eig._s is None and dec.d == ref.d
+        assert dec.eig._z is None and dec.d == ref.d
         assert dec._z is None  # every component is projected
         assert np.array_equal(dec.eig.values, ref.eig.values)
         assert np.array_equal(dec.eig.vectors, ref.eig.vectors)

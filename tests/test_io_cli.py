@@ -30,6 +30,7 @@ from ivssa import (
     write_series_csv,
     write_table_csv,
 )
+from ivssa.decomposition import _symmetric_product
 from ivssa.io import _JSON_BATCH, _Doc, atomic_write_text
 from helpers import child_env, long_shaped, structured_series
 from oracles import json_dumps_loop
@@ -706,8 +707,8 @@ class TestCliLargeFit:
         assert runs[0].stdout == runs[1].stdout
         doc = json.loads(runs[0].stdout)
         dec = decompose(read_csv(path)[0])
-        assert doc["params"]["window"] == dec.window == 501 and dec.eig._s is not None
-        want = eigen_sym(dec.eig._s)
+        assert doc["params"]["window"] == dec.window == 501 and dec.eig._z is not None
+        want = eigen_sym(_symmetric_product(dec._z))
         assert doc["d"] == want.d
         assert doc["eigenvalues"] == want.values.tolist()
 
@@ -891,6 +892,29 @@ class TestCliOutputErrors:
         assert f"output error: cannot write {out}: {reason}" in capsys.readouterr().err
         # the target is kept as it was, and no side table lands beside it
         assert os.listdir(tmp_path) == ["target"] and not out.is_file()
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize(
+        "table", ["hr_rows", "selection_rows", "hr_summary", "selection_summary"]
+    )
+    def test_special_mc_side_table_stops_before_any_replication(
+        self, kind, table, tmp_path, monkeypatch, capsys
+    ):
+        def fail(**kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", fail)
+        target = tmp_path / f"out.{table}.csv"
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            target.mkdir()
+        out = tmp_path / "out.json"
+        code = cli.main(["mc", "--reps", "40", "--n-list", "100", "--out", str(out)])
+        assert code == 6
+        reason = "not a regular file" if kind == "fifo" else "Is a directory"
+        assert f"output error: cannot write {target}: {reason}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [target.name] and not target.is_file()
 
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
     @pytest.mark.parametrize(
