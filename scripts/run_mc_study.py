@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from ivssa import ParameterError, __version__, run_monte_carlo
+from ivssa import __version__, run_monte_carlo
 from ivssa.io import write_json, write_table_csv
 
 
@@ -23,39 +23,55 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def stream_columns(report) -> list[tuple[str, str]]:
+def stream_columns(methods) -> list[tuple[str, str]]:
     cols = []
-    for method in report.methods:
+    for method in methods:
         cols.append((method, "x"))
         if method != "ivssa":
             cols.append((method, "y"))
     return cols
 
 
-def print_cell(report, scenario: str, n: int) -> None:
-    cols = stream_columns(report)
+def best_m(means: dict[int, float | None]) -> int | None:
+    """m with the smallest mean HR, ties to smaller m; None when no m has one."""
+    finite = [(v, m) for m, v in means.items() if v is not None]
+    return min(finite)[1] if finite else None
+
+
+def print_cell(doc: dict, scenario: str, n: int) -> None:
+    """Mean HR by m of one (scenario, n) cell, from the document's
+    hr_summary records, with the selection_summary modes underneath."""
+    hr = {
+        (r["method"], r["m"]): r
+        for r in doc["hr_summary"]
+        if (r["scenario"], r["n"]) == (scenario, n)
+    }
+    modes = {
+        (r["method"], r["series"]): r["mode"]
+        for r in doc["selection_summary"]
+        if (r["scenario"], r["n"]) == (scenario, n)
+    }
+    m_list = doc["config"]["m_list"]
+    cols = stream_columns(doc["config"]["methods"])
     names = [f"{m}/{s}" for m, s in cols]
     width = max(10, max(len(c) for c in names) + 2)
     print(f"\nscenario {scenario}, n = {n}  (mean HR by m, * = column best)")
     print("  m  " + "".join(f"{c:>{width}}" for c in names))
-    best = {
-        (method, series): report.best_m(scenario, n, method, series)
+    means = {
+        (method, series): {m: hr[(method, m)][f"hr_{series}_mean"] for m in m_list}
         for method, series in cols
     }
-    for m in report.m_list:
+    best = {col: best_m(col_means) for col, col_means in means.items()}
+    for m in m_list:
         cells = []
-        for method, series in cols:
-            val = report.mean_hr(scenario, n, method, m, series)
-            mark = "*" if best[(method, series)] == m else " "
-            cells.append(f"{val:.4f}{mark}".rjust(width))
+        for col in cols:
+            val = means[col][m]
+            mark = "*" if best[col] == m else " "
+            text = "nan" if val is None else f"{val:.4f}"
+            cells.append(f"{text}{mark}".rjust(width))
         print(f"{m:>3}  " + "".join(cells))
-    modes = []
-    for method, series in cols:
-        try:
-            modes.append(str(report.selection_mode(scenario, n, method, series)))
-        except ParameterError:  # no selection outcomes for this cell
-            modes.append("-")
-    print("mode " + "".join(f"{v:>{width}}" for v in modes))
+    mode_texts = ["-" if modes[col] is None else str(modes[col]) for col in cols]
+    print("mode " + "".join(f"{v:>{width}}" for v in mode_texts))
 
 
 def main() -> None:
@@ -97,7 +113,7 @@ def main() -> None:
     print(f"wrote {csv_path}")
     for scenario in report.scenarios:
         for n in report.n_list:
-            print_cell(report, scenario, n)
+            print_cell(doc, scenario, n)
 
 
 if __name__ == "__main__":

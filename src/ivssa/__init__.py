@@ -59,8 +59,6 @@ from .spectral import (
     SelectionResult,
     ks_critical_value,
     periodogram,
-    residual_whiteness,
-    select_components,
     select_from_decomposition,
 )
 
@@ -109,9 +107,7 @@ __all__ = [
     "read_csv",
     "reconstruct_ercs",
     "recurrence_coefficients",
-    "residual_whiteness",
     "run_monte_carlo",
-    "select_components",
     "select_from_decomposition",
     "select_params_oos",
     "simulate_scenario",

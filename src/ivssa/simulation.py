@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -226,11 +225,6 @@ def _mc_replication(args) -> tuple[list[McRow], list[McSelectionRow]]:
     return rows, selections
 
 
-def _mode(hist: dict[int, int]) -> int | None:
-    """Most frequent m of a histogram, ties to smaller m; None when empty."""
-    return min(hist, key=lambda m: (-hist[m], m)) if hist else None
-
-
 def _distinct(name: str, values: tuple) -> None:
     """Raise unless values is nonempty and has no repeats: a repeat would
     duplicate every summary record of its cells."""
@@ -269,77 +263,20 @@ class McReport:
     hr_rows: tuple[McRow, ...]
     selection_rows: tuple[McSelectionRow, ...]
 
-    def hr_values(
-        self, scenario: str, n: int, method: str, m: int, series: str = "x"
-    ) -> np.ndarray:
-        """Successful per-replication HR values for one cell."""
-        if series not in ("x", "y"):
-            raise ParameterError(f"series must be 'x' or 'y', got {series!r}")
-        key = (scenario, n, method, m, series)
-        return np.asarray(self._hr_cells.get(key, []), dtype=float)
-
-    @cached_property
-    def _hr_cells(self) -> dict[tuple, list[float]]:
-        """Successful HR values by (scenario, n, method, m, series), in row order."""
-        cells: dict[tuple, list[float]] = {}
-        for r in self.hr_rows:
-            for series, v in (("x", r.hr_x), ("y", r.hr_y)):
-                if v is not None:
-                    cells.setdefault((r.scenario, r.n, r.method, r.m, series), []).append(v)
-        return cells
-
-    def mean_hr(
-        self, scenario: str, n: int, method: str, m: int, series: str = "x"
-    ) -> float:
-        vals = self.hr_values(scenario, n, method, m, series)
-        return float(vals.mean()) if vals.size else math.nan
-
-    def best_m(
-        self, scenario: str, n: int, method: str, series: str = "x"
-    ) -> int:
-        """m with the smallest mean HR (ties to smaller m)."""
-        means = [
-            (self.mean_hr(scenario, n, method, m, series), m) for m in self.m_list
-        ]
-        finite = [(v, m) for v, m in means if not math.isnan(v)]
-        if not finite:
-            raise ParameterError("no successful replications for this cell")
-        return min(finite)[1]
-
-    @cached_property
-    def _selection_cells(self) -> dict[tuple, dict[int, int]]:
-        """Counts of each selected m by (scenario, n, method, series), in
-        ascending m; failed selections are left out."""
-        cells: dict[tuple, dict[int, int]] = {}
-        for r in self.selection_rows:
-            if r.m is not None:
-                hist = cells.setdefault((r.scenario, r.n, r.method, r.series), {})
-                hist[r.m] = hist.get(r.m, 0) + 1
-        return {key: dict(sorted(hist.items())) for key, hist in cells.items()}
-
-    def selection_histogram(
-        self, scenario: str, n: int, method: str, series: str = "x"
-    ) -> dict[int, int]:
-        return dict(self._selection_cells.get((scenario, n, method, series), {}))
-
-    def selection_mode(
-        self, scenario: str, n: int, method: str, series: str = "x"
-    ) -> int:
-        """Most frequent selected m (ties to smaller m)."""
-        mode = _mode(self.selection_histogram(scenario, n, method, series))
-        if mode is None:
-            raise ParameterError("no selection outcomes for this cell")
-        return mode
-
     def hr_summary(self) -> list[dict]:
         """One summary record per (scenario, n, method, m) cell.  Every
         record has the same keys; the statistics of a cell with no HR are
         None."""
+        cells: dict[tuple, list[float]] = {}  # successful HRs, in row order
+        for r in self.hr_rows:
+            for series, v in (("x", r.hr_x), ("y", r.hr_y)):
+                if v is not None:
+                    cells.setdefault((r.scenario, r.n, r.method, r.m, series), []).append(v)
         out = []
         for cell in product(self.scenarios, self.n_list, self.methods, self.m_list):
             rec: dict = dict(zip(("scenario", "n", "method", "m"), cell))
             for series in ("x", "y"):
-                vals = self.hr_values(*cell, series)
+                vals = np.asarray(cells.get((*cell, series), []), dtype=float)
                 for stat, v in _hr_stats(vals).items():
                     rec[f"hr_{series}_{stat}"] = v
                 rec[f"hr_{series}_failed"] = self.reps - int(vals.size)
@@ -347,12 +284,20 @@ class McReport:
         return out
 
     def selection_summary(self) -> list[dict]:
-        """Histogram and mode of selected m per (scenario, n, method, series)."""
+        """Histogram and mode of selected m per (scenario, n, method,
+        series).  Failed selections are left out; the mode's ties go to the
+        smaller m, and an empty histogram's mode is None."""
+        cells: dict[tuple, dict[int, int]] = {}
+        for r in self.selection_rows:
+            if r.m is not None:
+                hist = cells.setdefault((r.scenario, r.n, r.method, r.series), {})
+                hist[r.m] = hist.get(r.m, 0) + 1
         out = []
         for cell in product(self.scenarios, self.n_list, self.methods, ("x", "y")):
-            hist = self.selection_histogram(*cell)
+            hist = dict(sorted(cells.get(cell, {}).items()))
+            mode = min(hist, key=lambda m: (-hist[m], m)) if hist else None
             rec = dict(zip(("scenario", "n", "method", "series"), cell))
-            out.append({**rec, "histogram": hist, "mode": _mode(hist)})
+            out.append({**rec, "histogram": hist, "mode": mode})
         return out
 
     def to_dict(self) -> dict:
@@ -409,7 +354,7 @@ def run_monte_carlo(
             raise ParameterError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
-    n_list = tuple(_integer(n, "an n list entry") for n in n_list)
+    n_list = tuple(_integer(n, "an n list entry", 4) for n in n_list)
     _distinct("n list", n_list)
     m_list = tuple(sorted({_integer(m, "an m list entry", 1) for m in m_list}))
     if not m_list:

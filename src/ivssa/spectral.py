@@ -32,7 +32,7 @@ from .core import (
     phi_arrays,
     symbolic_channels,
 )
-from .decomposition import Decomposition, decompose
+from .decomposition import Decomposition
 
 #: Residuals below this fraction of the series scale count as a perfect fit.
 PERFECT_FIT_RTOL = 1e-10
@@ -128,23 +128,6 @@ def _whiteness_rows(
     return ordinates, cumulative, ks, perfect
 
 
-def residual_whiteness(
-    y: IntervalSeries,
-    trend_lo: np.ndarray,
-    trend_hi: np.ndarray,
-    critical_value: float,
-) -> tuple[float, bool, bool]:
-    """Test residuals of a candidate trendline for white noise.
-
-    Returns (ks_stat, accepted, perfect_fit); ks_stat is NaN when the fit is
-    declared perfect (residual rms at most PERFECT_FIT_RTOL times y's, or a
-    degenerate spectrum).
-    """
-    floor = PERFECT_FIT_RTOL * float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
-    ks, perfect = _whiteness_rows(y.lo[None], y.hi[None], trend_lo, trend_hi, floor)[2:]
-    return float(ks[0]), bool(perfect[0] or ks[0] <= critical_value), bool(perfect[0])
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of the targeted-grouping scan.
@@ -207,15 +190,3 @@ def select_from_decomposition(
         critical_value=crit,
         perfect_fit=perfect_fit,
     )
-
-
-def select_components(
-    y: IntervalSeries,
-    window: int | None = None,
-    alpha: float = 0.05,
-    max_m: int | None = None,
-) -> SelectionResult:
-    """Decompose a univariate series and pick the number of components
-    by the residual-whiteness criterion."""
-    dec = decompose(y, window)
-    return select_from_decomposition(dec, y, series_index=1, alpha=alpha, max_m=max_m)

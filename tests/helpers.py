@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 import ivssa
-from ivssa import IntervalSeries, PairMatrix
+from ivssa import IntervalSeries, PairMatrix, decompose, select_from_decomposition
 
 
 def child_env() -> dict[str, str]:
@@ -83,6 +83,11 @@ def weekly_shaped(n: int, seed: int) -> IntervalSeries:
     )
     half = mid * (0.01 + rng.uniform(0.0, 0.035, n))
     return IntervalSeries(mid - half, mid + half)
+
+
+def decompose_and_select(y: IntervalSeries, window: int | None = None, **kwargs):
+    """The whiteness selection of one series' own univariate fit."""
+    return select_from_decomposition(decompose(y, window), y, **kwargs)
 
 
 def assert_compares_by_identity(make) -> None:

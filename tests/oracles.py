@@ -280,6 +280,24 @@ def oos_window_loop(args) -> tuple[np.ndarray, dict[int, str]]:
     return errors, reasons
 
 
+# the one-row whiteness test of a candidate trendline, which the scan runs
+# a block of rows at a time
+
+
+def residual_whiteness(y, trend_lo, trend_hi, critical_value) -> tuple[float, bool, bool]:
+    """Test residuals of a candidate trendline for white noise.
+
+    Returns (ks_stat, accepted, perfect_fit); ks_stat is NaN when the fit is
+    declared perfect (residual rms at most PERFECT_FIT_RTOL times y's, or a
+    degenerate spectrum).
+    """
+    from ivssa.spectral import PERFECT_FIT_RTOL, _whiteness_rows
+
+    floor = PERFECT_FIT_RTOL * float(np.sqrt(np.mean(y.lo**2 + y.hi**2)))
+    ks, perfect = _whiteness_rows(y.lo[None], y.hi[None], trend_lo, trend_hi, floor)[2:]
+    return float(ks[0]), bool(perfect[0] or ks[0] <= critical_value), bool(perfect[0])
+
+
 # the selection scan as it was before it tested a block of prefixes at a
 # time: one component, one residual test and one periodogram per step
 

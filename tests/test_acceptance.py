@@ -23,7 +23,6 @@ from ivssa import (
     ks_critical_value,
     read_csv,
     recurrence_coefficients,
-    residual_whiteness,
     run_monte_carlo,
     select_params_oos,
     symbolic_covariance,
@@ -171,13 +170,26 @@ def test_criterion_04_covariance_psd():
 
 @pytest.fixture(scope="module")
 def mc_study():
+    """The study's hr_summary and selection_summary records, and its time."""
     t0 = time.perf_counter()
     report = run_monte_carlo(reps=200)
-    return report, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    return report.hr_summary(), report.selection_summary(), elapsed
+
+
+def best_mean_hr(hr_summary, scenario, n, method, series) -> tuple[float, int]:
+    """(mean HR, m) of the smallest mean HR of one column, ties to smaller m."""
+    key = f"hr_{series}_mean"
+    return min(
+        (r[key], r["m"])
+        for r in hr_summary
+        if (r["scenario"], r["n"], r["method"]) == (scenario, n, method)
+        and r[key] is not None
+    )
 
 
 def test_criterion_05_mc_hr_trend(mc_study):
-    report, elapsed = mc_study
+    hr_summary, _, elapsed = mc_study
     assert elapsed < 900.0
     # HR is recorded against the true means of x, plus y for the stacked fits
     streams = [
@@ -192,8 +204,7 @@ def test_criterion_05_mc_hr_trend(mc_study):
         for method, series in streams:
             best = {}
             for n in (100, 250):
-                m = report.best_m(scenario, n, method, series)
-                best[n] = report.mean_hr(scenario, n, method, m, series)
+                best[n] = best_mean_hr(hr_summary, scenario, n, method, series)[0]
             assert best[250] < best[100], (scenario, method, series, best)
             drops.append(best[100] - best[250])
     NOTES[5] = (
@@ -202,14 +213,18 @@ def test_criterion_05_mc_hr_trend(mc_study):
 
 
 def test_criterion_06_selection_alignment(mc_study):
-    report, _ = mc_study
+    hr_summary, selection_summary, _ = mc_study
+    modes = {
+        (r["scenario"], r["n"], r["method"], r["series"]): r["mode"]
+        for r in selection_summary
+    }
     # one histogram per (scenario, n) cell: the univariate whiteness
     # selection on x, judged against the matching univariate HR curve
     diffs = []
     for scenario in ("A", "B"):
         for n in (100, 250):
-            mode = report.selection_mode(scenario, n, "ivssa", "x")
-            best = report.best_m(scenario, n, "ivssa", "x")
+            mode = modes[(scenario, n, "ivssa", "x")]
+            best = best_mean_hr(hr_summary, scenario, n, "ivssa", "x")[1]
             assert abs(mode - best) <= 1, (scenario, n, mode, best)
             diffs.append(abs(mode - best))
     NOTES[6] = f"4 cells, |mode - argmin| in {sorted(set(diffs))}"
@@ -223,7 +238,7 @@ def test_criterion_07_ks_size():
     for rep in range(1000):
         e = make_rng(rep).standard_normal(200)
         y = IntervalSeries(e, e.copy())
-        _, accepted, perfect = residual_whiteness(y, zeros, zeros, crit)
+        _, accepted, perfect = oracles.residual_whiteness(y, zeros, zeros, crit)
         assert not perfect
         rejects += not accepted
     rate = rejects / 1000.0

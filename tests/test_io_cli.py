@@ -24,7 +24,6 @@ from ivssa import (
     eigen_sym,
     json_dumps,
     read_csv,
-    select_components,
     select_params_oos,
     simulate_scenario,
     write_series_csv,
@@ -32,7 +31,7 @@ from ivssa import (
 )
 from ivssa.decomposition import _symmetric_product
 from ivssa.io import _JSON_BATCH, _Doc, atomic_write_text
-from helpers import child_env, long_shaped, structured_series
+from helpers import child_env, decompose_and_select, long_shaped, structured_series
 from oracles import json_dumps_loop
 
 
@@ -717,7 +716,7 @@ class TestCliSelect:
     def test_matches_library(self, sample_csv):
         doc = json.loads(run_cli("select", "--input", sample_csv).stdout)
         y = read_csv(sample_csv)[0]
-        sel = select_components(y)
+        sel = decompose_and_select(y)
         rec = doc["series"][0]
         assert rec["m"] == sel.m
         assert rec["converged"] == sel.converged

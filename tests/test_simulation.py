@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -197,18 +198,19 @@ class TestRunMonteCarlo:
         )
         assert again.to_dict() == small_report.to_dict()
 
-    def test_report_helpers(self, small_report):
+    def test_report_summaries(self, small_report):
         rep = small_report
-        vals = rep.hr_values("A", 40, "ivssa", 1)
-        assert vals.shape == (3,) and np.all(vals > 0)
-        assert rep.mean_hr("A", 40, "ivssa", 1) == pytest.approx(vals.mean())
-        best = rep.best_m("A", 40, "v-mivssa", series="y")
-        means = [rep.mean_hr("A", 40, "v-mivssa", m, "y") for m in rep.m_list]
-        assert means[best - 1] == min(means)
-        hist = rep.selection_histogram("A", 40, "h-mivssa")
+        summary = rep.hr_summary()
+        assert summary == hr_summary_loop(rep)
+        assert len(summary) == 9
+        rec = next(r for r in summary if (r["method"], r["m"]) == ("ivssa", 1))
+        assert rec["hr_x_failed"] == 0 and rec["hr_x_q25"] > 0  # three positive HRs
+        sels = rep.selection_summary()
+        assert len(sels) == 6
+        hist = next(
+            r["histogram"] for r in sels if (r["method"], r["series"]) == ("h-mivssa", "x")
+        )
         assert sum(hist.values()) == 3
-        assert len(rep.hr_summary()) == 9
-        assert len(rep.selection_summary()) == 6
 
     def test_summary_matches_cell_by_cell_scan(self):
         # at n = 10 the univariate fit has rank 6: its m = 7 and 8 cells fail
@@ -217,12 +219,6 @@ class TestRunMonteCarlo:
         assert summary == hr_summary_loop(rep)
         assert rep.selection_summary() == selection_summary_loop(rep)
         assert any(r["hr_x_failed"] == 2 for r in summary)
-        for r in summary:
-            for series in ("x", "y"):
-                cell = (r["scenario"], r["n"], r["method"], r["m"], series)
-                assert np.array_equal(
-                    rep.hr_values(*cell), hr_values_loop(rep, *cell)
-                )
 
     def test_summary_consistent_with_rows(self, small_report):
         recs = [
@@ -232,7 +228,7 @@ class TestRunMonteCarlo:
         ]
         assert len(recs) == 1
         assert recs[0]["hr_x_mean"] == pytest.approx(
-            small_report.mean_hr("A", 40, "ivssa", 3)
+            hr_values_loop(small_report, "A", 40, "ivssa", 3, "x").mean()
         )
         assert recs[0]["hr_x_failed"] == 0
 
@@ -300,10 +296,6 @@ class TestRunMonteCarlo:
         with pytest.raises(ParameterError, match="n list must not be empty"):
             run_monte_carlo(n_list=(), reps=1)
 
-    def test_hr_values_unknown_series_rejected(self, small_report):
-        with pytest.raises(ParameterError, match="series must be 'x' or 'y'"):
-            small_report.hr_values("A", 40, "ivssa", 1, series="z")
-
     def test_failed_fit_keeps_selection_rows(self, monkeypatch):
         def failing(series, mode):
             raise InvalidValueError(f"{mode} fit failed")
@@ -321,7 +313,8 @@ class TestRunMonteCarlo:
                 ("y", None, False),
             ]
         assert len(rep.selection_rows) == 3 * 2
-        assert rep.hr_values("A", 40, "ivssa", 2, "y").size == 1
+        failed = {(r["method"], r["m"]): r["hr_y_failed"] for r in rep.hr_summary()}
+        assert failed[("ivssa", 2)] == 0 and failed[("v-mivssa", 2)] == 1
 
     def test_failed_selection_keeps_hr_rows(self, monkeypatch):
         # a selection that raises after its fits succeeded is recorded as
@@ -344,10 +337,29 @@ class TestRunMonteCarlo:
             with pytest.raises(ParameterError, match=f"got {bad}"):
                 run_monte_carlo(reps=1, max_m=bad)
 
+    def test_short_n_rejected_before_any_replication(self, monkeypatch):
+        # the simulator needs n >= 4; a short entry late in the list must not
+        # cost the replications of the entries before it
+        calls = []
+        real = simulation._mc_replication
+        monkeypatch.setattr(
+            simulation, "_mc_replication", lambda args: calls.append(args) or real(args)
+        )
+        with pytest.raises(ParameterError, match="an n list entry must be >= 4, got 3"):
+            run_monte_carlo(scenarios="A", n_list=(250, 3), reps=20)
+        assert calls == []
+
 
 MC_SCRIPT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts", "run_mc_study.py"
 )
+
+
+def load_mc_script():
+    spec = importlib.util.spec_from_file_location("run_mc_study", MC_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_mc_script(*args: str, cwd: str) -> subprocess.CompletedProcess:
@@ -378,6 +390,17 @@ class TestRunMcStudyScript:
             assert lines[0].startswith("scenario,n,method,m,hr_x_mean")
             assert len(lines) == 1 + 3 * 8  # header + methods x m values
             assert f"scenario A, n = {n}" in proc.stdout
+
+    def test_column_without_hr(self, tmp_path):
+        # at n = 10 the univariate fit has rank 6: its column has no HR at
+        # m = 7 or 8, and prints nan with no column best
+        proc = run_mc_script(
+            "--reps", "1", "--n-list", "10", "--m-list", "7,8", "--scenario", "A",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [r[1] for r in rows if r[:1] in (["7"], ["8"])] == ["nan", "nan"]
 
     def test_threads_flag_rejected(self, tmp_path):
         proc = run_mc_script("--reps", "1", "--threads", "2", cwd=tmp_path)
@@ -411,18 +434,35 @@ class TestReportTieBreaks:
             selection_rows=tuple(sel_rows),
         )
 
+    @staticmethod
+    def selection_x(rep) -> dict:
+        (rec,) = [r for r in rep.selection_summary() if r["series"] == "x"]
+        return rec
+
     def test_mode_tie_prefers_smaller(self):
         rep = self.build([1, 2, 2, 1], {1: 0.5, 2: 0.5})
-        assert rep.selection_mode("A", 10, "ivssa") == 1
-        assert rep.best_m("A", 10, "ivssa") == 1
+        assert self.selection_x(rep)["mode"] == 1
 
     def test_failed_selections_excluded(self):
         rep = self.build([3, None, 3], {3: 0.1})
-        assert rep.selection_histogram("A", 10, "ivssa") == {3: 2}
+        assert self.selection_x(rep)["histogram"] == {3: 2}
 
-    def test_empty_cell_raises(self):
+    def test_empty_cell_has_no_statistics(self):
         rep = self.build([None], {1: None})
-        with pytest.raises(ParameterError):
-            rep.best_m("A", 10, "ivssa")
-        with pytest.raises(ParameterError):
-            rep.selection_mode("A", 10, "ivssa")
+        rec = self.selection_x(rep)
+        assert (rec["histogram"], rec["mode"]) == ({}, None)
+        (hr,) = rep.hr_summary()
+        assert hr["hr_x_mean"] is None and hr["hr_x_failed"] == 1
+
+    def test_script_best_m_ties_to_smaller(self):
+        best_m = load_mc_script().best_m
+        assert best_m({1: 0.5, 2: 0.5}) == 1
+        assert best_m({1: None, 2: 0.7, 3: 0.5}) == 3
+        assert best_m({1: None}) is None
+
+    def test_script_table_of_an_empty_cell(self, capsys):
+        # no HR and no selection: nan with no column best, and "-" for the mode
+        doc = self.build([None], {1: None, 2: None}).to_dict()
+        load_mc_script().print_cell(doc, "A", 10)
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[-3:]]
+        assert rows == [["1", "nan"], ["2", "nan"], ["mode", "-"]]

@@ -13,20 +13,19 @@ from ivssa import (
     ks_critical_value,
     periodogram,
     phi_arrays,
-    residual_whiteness,
-    select_components,
     select_from_decomposition,
 )
 from ivssa.simulation import METHODS, ScenarioConfig, _fits, simulate_scenario
 from helpers import (
     assert_compares_by_identity,
+    decompose_and_select,
     long_shaped,
     make_rng,
     random_series,
     structured_series,
     weekly_shaped,
 )
-from oracles import periodogram_loop, select_loop
+from oracles import periodogram_loop, residual_whiteness, select_loop
 
 
 def white_noise_series(seed: int, n: int) -> IntervalSeries:
@@ -151,7 +150,7 @@ class TestSelection:
         accepted_at_one = 0
         for seed in range(10):
             e = white_noise_series(100 + seed, 120)
-            sel = select_components(e, window=30)
+            sel = decompose_and_select(e, window=30)
             assert sel.converged
             if sel.m == 1:
                 accepted_at_one += 1
@@ -159,7 +158,7 @@ class TestSelection:
 
     def test_structured_series_needs_trend_components(self):
         y = structured_series(144, seed=5, noise=0.2)
-        sel = select_components(y)
+        sel = decompose_and_select(y)
         assert sel.converged
         assert 2 <= sel.m <= 6
         assert sel.ks_trace[0] > sel.critical_value
@@ -172,14 +171,14 @@ class TestSelection:
         y = IntervalSeries(mid - 1, mid + 1)
         dec = decompose(y)
         assert dec.d == 4
-        sel = select_components(y)
+        sel = decompose_and_select(y)
         assert sel.m == 4
         assert sel.converged and sel.perfect_fit
         assert math.isnan(sel.ks_trace[-1])
 
     def test_trace_and_critical_value(self):
         y = structured_series(100, seed=6, noise=0.3)
-        sel = select_components(y, alpha=0.05)
+        sel = decompose_and_select(y, alpha=0.05)
         assert sel.critical_value == pytest.approx(ks_critical_value(0.05))
         assert len(sel.ks_trace) == sel.m
         assert all(v > sel.critical_value for v in sel.ks_trace[:-1])
@@ -202,7 +201,7 @@ class TestSelection:
     def test_max_m_caps_scan(self):
         y = structured_series(100, seed=7, noise=0.0)
         # noise-free series: KS never passes on deterministic residual cycles
-        sel = select_components(y, max_m=2)
+        sel = decompose_and_select(y, max_m=2)
         assert sel.m <= 2
         assert len(sel.ks_trace) <= 2
 
@@ -210,7 +209,7 @@ class TestSelection:
         y = structured_series(100, seed=7, noise=0.0)
         for bad in (0, -3):
             with pytest.raises(ParameterError, match=f"got {bad}"):
-                select_components(y, max_m=bad)
+                decompose_and_select(y, max_m=bad)
 
     def test_non_integral_max_m_rejected(self):
         # truncating would scan to 2
@@ -229,8 +228,8 @@ class TestSelection:
         # smaller alpha raises the critical value, so whiteness is accepted
         # no later than under a larger alpha
         y = structured_series(128, seed=8, noise=0.25)
-        small = select_components(y, alpha=0.001)
-        large = select_components(y, alpha=0.2)
+        small = decompose_and_select(y, alpha=0.001)
+        large = decompose_and_select(y, alpha=0.2)
         assert small.m <= large.m
         assert small.critical_value > large.critical_value
 
