@@ -14,21 +14,23 @@ leading components 1..m that every reader asks for, so each component of
 a fit is averaged once.
 
 A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
-eigenpair (``eigen_sym``) and projects on all d eigenvectors.  A larger
-fit computes only what is read (``_build``): block subspace iteration
-multiplying by Z (Z' Q), by FFT while it converges and directly where it
-certifies, finds the leading eigenvectors up to a clear spectral gap j,
-whose eigenvalues lie provably above the rank cutoff, so every index up to
-j is known to be at most d.  The first read of d, of the eigenvalues or of
-an eigenvector past the gap forms S for one complete solve for all three,
-and the projections past the gap follow on first read.
+eigenpair (``eigen_sym``).  A larger fit computes only what is read
+(``_build``): block subspace iteration multiplying by Z (Z' Q), by FFT
+while it converges and directly where it certifies, finds the leading
+eigenvectors up to a clear spectral gap j, whose eigenvalues lie provably
+above the rank cutoff, so every index up to j is known to be at most d.
+The first read of d, of the eigenvalues or of an eigenvector past the gap
+forms S for one complete solve for all three.  Every fit projects on first
+read, a block of eigenvectors at a time: a large fit its gap block, then
+blocks of ``_PROJECTION_BLOCK`` past it; a complete solve blocks of
+``_PROJECTION_BLOCK`` from the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,7 +66,7 @@ _GUARD = 3
 _GAP_RATIO = 0.1
 _PASSES = 12
 
-#: Components past the known eigenvectors are projected this many at a time.
+#: Components are projected this many at a time (past a large fit's gap block).
 _PROJECTION_BLOCK = 32
 
 #: A gap value theta_j must exceed the rank cutoff by this many l * eps *
@@ -231,10 +233,15 @@ def _rank_of(values: np.ndarray, rank_eps: float) -> np.ndarray:
 
 
 def _fix_signs(v: np.ndarray) -> None:
-    """Make the largest-magnitude entry of each column of v positive, in place."""
-    signs = np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    v *= signs
+    """Make the largest-magnitude entry of each column of v (..., rows,
+    columns) positive, in place; of two with one magnitude, the first.  The
+    column maxima and minima decide, so no temporary of v's size is formed."""
+    hi, lo = v.max(axis=-2), -v.min(axis=-2)
+    signs = np.where(hi < lo, -1.0, 1.0)
+    for at in zip(*np.nonzero(hi == lo)):
+        col = v[(*at[:-1], slice(None), at[-1])]
+        signs[at] = -1.0 if col[np.argmax(np.abs(col))] < 0 else 1.0
+    v *= signs[..., None, :]
 
 
 def _checked_eigh(
@@ -261,9 +268,7 @@ def _checked_eigh(
             stop = int(f)
             break
     values, vectors = np.linalg.eigh(s[:stop])
-    # one matrix at a time and in place, so no temporary of the stack's size
-    for v in vectors:
-        _fix_signs(v)
+    _fix_signs(vectors)
     values = values[:, ::-1].copy()
     vectors = vectors[:, :, ::-1]
     d = _rank_of(values, rank_eps)
@@ -401,11 +406,10 @@ class Decomposition:
     trajectory matrix has window * n_series rows.  ``_w`` keeps the
     projections u_i' Z of the channel matrix Z (``embedding._embed``), one
     row per component, by the first component of each block that
-    ``_projections`` computed.  Z itself (``_z``) is kept only while
-    components remain to be projected, which is when ``eig`` holds part of
-    a solve.  ``_rows`` maps a series index to the averaged endpoint
-    channels (a, b) of its components 1..count, two (count, n) arrays, so
-    every reader averages a component once per fit.
+    ``_projections`` computed.  Z itself (``_z``) is kept, as every block is
+    projected on its first read.  ``_rows`` maps a series index to the
+    averaged endpoint channels (a, b) of its components 1..count, two
+    (count, n) arrays, so every reader averages a component once per fit.
     """
 
     mode: StackingMode
@@ -414,7 +418,7 @@ class Decomposition:
     n_series: int
     series_length: int
     eig: EigenPairs
-    _z: np.ndarray | None
+    _z: np.ndarray
     _w: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
 
@@ -436,25 +440,32 @@ class Decomposition:
             return slice(None), slice(s * self.k, (s + 1) * self.k)
         return slice(None), slice(None)
 
-    def _projections(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mid and radius parts of the row u_i' Z of the 0-based component i.
+    def _projections(self, first: int, top: int) -> np.ndarray:
+        """Rows u_i' Z of the 0-based components first..top-1.
 
-        Rows are computed a block at a time, with one product u' Z: the
-        components whose eigenvectors are known without a further solve,
-        then consecutive blocks of _PROJECTION_BLOCK components past them,
-        up to d.  So a row has the same bits whatever was read before it."""
-        j = self.eig._known.shape[1]
-        start = 0 if i < j else i - (i - j) % _PROJECTION_BLOCK
-        stop = j if i < j else min(start + _PROJECTION_BLOCK, self.d)
-        if start not in self._w:
-            w = self.eig.leading(stop)[:, start:].T @ self._z
-            w.flags.writeable = False
-            self._w[start] = w
-        w = self._w[start][i - start]
-        return w[: w.size // 2], w[w.size // 2 :]
+        Rows are projected a block at a time, on the first read of the
+        block, with one product u' Z: a large fit's gap block j, whose
+        eigenvectors are known without a further solve, then consecutive
+        blocks of _PROJECTION_BLOCK components (from the first for a complete
+        solve), up to d.  So a row has the same bits whatever was read before it."""
+        j = self.eig._known.shape[1] if self.eig._z is not None else 0
+        rows = []
+        while first < top:
+            start = 0 if first < j else first - (first - j) % _PROJECTION_BLOCK
+            if start not in self._w:
+                stop = j if first < j else min(start + _PROJECTION_BLOCK, self.d)
+                self._w[start] = self.eig.leading(stop)[:, start:].T @ self._z
+            rows.append(self._w[start][first - start : top - start])
+            first = start + len(self._w[start])
+        return np.concatenate(rows)
+
+    def kept(self, series_index: int = 1) -> int:
+        """How many leading components of a series are averaged and kept,
+        so that a read of components 1..kept averages nothing."""
+        return len(self._rows.get(int(series_index), ((),))[0])
 
     def component_channels(
-        self, indices: Sequence[int], series_index: int = 1
+        self, indices: Iterable[int], series_index: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal-averaged endpoint channels of single components, before
         ``phi_arrays``.
@@ -467,15 +478,19 @@ class Decomposition:
         ``_rows`` keeps the rows of components 1..count; a read past count
         averages count+1..max(indices) in one call, and reads return copies.
         ``_averaged`` treats each row on its own, so a kept row has the bits
-        a fresh one would, whatever was read before it.
+        a fresh one would, whatever was read before it.  A ``range`` is
+        checked by its ends, any other iterable index by index.
         """
         rows, cols = self.series_block(series_index)
+        ranged = isinstance(indices, range)
+        checked = [indices[0], indices[-1]] if ranged and indices else list(indices)
         # the largest index first, so a grouping past d projects nothing
-        top = _component_index(self.eig, max(indices)) if indices else 0
-        idx = [_component_index(self.eig, i) - 1 for i in indices]
+        top = _component_index(self.eig, max(checked)) if checked else 0
+        idx = [_component_index(self.eig, i) - 1 for i in checked]
+        idx = range(indices.start - 1, indices.stop - 1, indices.step) if ranged else idx
         a, b = self._rows.get(int(series_index), (np.empty((0, self.series_length)),) * 2)
         if top > len(a):
-            w = np.array([self._projections(i) for i in range(len(a), top)])[..., cols]
+            w = self._projections(len(a), top).reshape(top - len(a), 2, -1)[..., cols]
             u = self.eig.leading(top)[rows, len(a) :].T
             new = _averaged(u, w[:, 0], w[:, 1], self._counts)
             a, b = np.vstack((a, new[0])), np.vstack((b, new[1]))
@@ -494,8 +509,8 @@ class Decomposition:
 def _build(
     series: Sequence[IntervalSeries], window: int, mode: StackingMode, rank_eps: float
 ) -> Decomposition:
-    """The one fit: Z of the series' channels (``_embed``), the eigenpairs of
-    S = Z Z', and the projections u' Z on the eigenvectors known so far.
+    """The one fit: Z of the series' channels (``_embed``) and the
+    eigenpairs of S = Z Z'; the projections u' Z follow on first read.
     Below _LAZY_ROWS rows, or without a converged gap (``_gap_block``), the
     eigenpairs are ``eigen_sym``'s, which also raises its errors."""
     channels = [symbolic_channels(y.lo, y.hi) for y in series]
@@ -506,11 +521,11 @@ def _build(
         lead = _gap_block(z, _Hankel(channels, window, mode), rank_eps)
     eig = (eigen_sym(_symmetric_product(z), rank_eps) if lead is None
            else EigenPairs(None, lead, None, z, rank_eps))
-    has_rank = eig.within_rank(1)  # d >= 1, which a gap block proves
-    if not has_rank and any(y.lo.any() or y.hi.any() for y in series):
+    # d >= 1, which a gap block proves
+    if not eig.within_rank(1) and any(y.lo.any() or y.hi.any() for y in series):
         raise InvalidValueError(_UNDERFLOW)
     n = len(series[0])
-    dec = Decomposition(
+    return Decomposition(
         mode=mode,
         window=window,
         k=n - window + 1,
@@ -519,11 +534,6 @@ def _build(
         eig=eig,
         _z=z,
     )
-    if has_rank:
-        dec._projections(0)
-    if eig._z is None:  # a complete solve: every component is projected
-        _fill(dec, _z=None)
-    return dec
 
 
 def decompose(

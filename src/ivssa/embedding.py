@@ -49,7 +49,7 @@ def _embed(
     k = trajectory_columns(lengths.pop(), window)
     blocks = [[_windows(x, window, k) for x in pair] for pair in pairs]
     if mode is StackingMode.VERTICAL:
-        return np.block(blocks)
+        return np.concatenate([np.concatenate(pair, axis=1) for pair in blocks])
     return np.hstack([x for x, _ in blocks] + [y for _, y in blocks])
 
 

@@ -33,6 +33,7 @@ from .core import (
     symbolic_channels,
 )
 from .decomposition import (
+    _PROJECTION_BLOCK,
     DEFAULT_RANK_EPS,
     EigenPairs,
     _averaged,
@@ -204,11 +205,11 @@ def _trend_tails(
     f's first m components, for m up to top[f].  c and r are the channel
     series of y (``symbolic_channels``).
 
-    Fit f projects the Z of its prefix on its d[f] leading eigenvectors, as
-    ``decompose`` does, and averages each component with ``_averaged``, the
-    kernel of ``Decomposition.component_channels``; the component-order
-    prefix sum is that of ``trendline``.  So the tails are bitwise those of
-    ``trendline`` on a per-fit ``decompose``.
+    Fit f projects the Z of its prefix on the blocks of eigenvectors that
+    hold its top[f] components, as ``decompose`` does, and averages each
+    component with ``_averaged``, the kernel of ``component_channels``; the
+    component-order prefix sum is that of ``trendline``.  So the tails are
+    bitwise those of ``trendline`` on a per-fit ``decompose``.
     """
     _, l, _ = vectors.shape
     tails = np.zeros((2, len(fits), top.max(), l - 1))
@@ -217,12 +218,14 @@ def _trend_tails(
         if not m:
             continue
         # a contiguous copy, laid out as ``eigen_sym`` returns it
-        ut = vectors[f].copy()[:, : d[f]].T
-        proj = ut @ _embed([(c[:w], r[:w])], l, StackingMode.UNIVARIATE)
+        u = vectors[f].copy()[:, : d[f]]
+        z = _embed([(c[:w], r[:w])], l, StackingMode.UNIVARIATE)
+        starts = range(0, m, _PROJECTION_BLOCK)
+        proj = np.vstack([u[:, s : s + _PROJECTION_BLOCK].T @ z for s in starts])
         k = w - l + 1
         # antidiagonal lengths of the last l-1 positions
         counts = np.minimum(np.arange(l - 1, 0, -1), k)
-        tails[:, f, :m] = _averaged(ut[:m], proj[:m, :k], proj[:m, k:], counts)
+        tails[:, f, :m] = _averaged(u[:, :m].T, proj[:m, :k], proj[:m, k:], counts)
     return phi_arrays(*np.cumsum(tails, axis=2))
 
 

@@ -143,7 +143,7 @@ def _prefix_hr(
     ca, cb = dec.component_channels(range(1, m_top + 1), series_index)
     lo, hi = phi_arrays(np.cumsum(ca, axis=0), np.cumsum(cb, axis=0))
     gaps = np.maximum(np.abs(truth.lo - lo), np.abs(truth.hi - hi))
-    return [float(g.mean()) for g in gaps]
+    return gaps.mean(axis=1).tolist()
 
 
 @dataclass(frozen=True)

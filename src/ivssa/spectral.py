@@ -8,12 +8,13 @@ radius/sqrt(3) channel's real autocovariances.  At the Fourier frequencies
 its plug-in spectrum is therefore the sum of the two channels' squared DFT
 moduli over 2*pi*n, so no autocovariance is formed.
 
-The scan tests prefixes in blocks of 1, 2, 4, ... at a time: one
-``component_channels`` read of the leading components, their prefix sums,
-and one row-wise pass (``_whiteness_rows``: residuals, rms test, one real
-FFT per row, KS statistic) over the block's rows, cut at the first
-accepted prefix.  ``np.cumsum`` adds in order, so each row has the bits of
-the one-prefix-per-step scan.
+The scan tests prefixes in blocks of 1, 2, 4, ... at a time, or as far as
+the components the fit already keeps: one ``component_channels`` read of
+the leading components, their prefix sums, and one row-wise pass
+(``_whiteness_rows``: residuals, rms test, one real FFT per row, KS
+statistic) over the block's rows, cut at the first accepted prefix.
+``np.cumsum`` adds in order, so each row has the bits of the
+one-prefix-per-step scan.
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ def select_from_decomposition(
     trace: list[float] = []
     i, converged, perfect_fit = 1, False, False
     while not converged and i <= cap and dec.eig.within_rank(i):  # d read past the gap only
-        # prefixes i..stop in one block of at most i rows, inside the known
-        # gap block while the scan is in it, so an early stop solves nothing
-        stop = min(2 * i - 1, cap, dec.eig.reach(i))
+        # prefixes i..stop in one block of at most i rows, or up to the rows
+        # the fit already keeps, inside the known gap block while the scan
+        # is in it, so an early stop solves nothing
+        stop = min(max(2 * i - 1, dec.kept(series_index)), cap, dec.eig.reach(i))
         ca, cb = dec.component_channels(range(1, stop + 1), series_index)
         lo, hi = phi_arrays(np.cumsum(ca, axis=0)[i - 1 :], np.cumsum(cb, axis=0)[i - 1 :])
         ks, perfect = _whiteness_rows(y.lo, y.hi, lo, hi, floor)[2:]

@@ -394,8 +394,9 @@ def antidiagonal_means(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 class FullFit:
     """The complete-solve fit of ``decompose_full``: ``eig``, ``d``,
     ``n_series``, ``series_length`` and ``series_block`` as a
-    ``Decomposition`` has them, and ``component_channels`` from the
-    projections u'A and u'B of the stacked trajectory grids."""
+    ``Decomposition`` has them, ``component_channels`` from the
+    projections u'A and u'B of the stacked trajectory grids, and ``kept``,
+    which is 0: every read reconstructs its components afresh."""
 
     def __init__(self, eig, mat, mode, window: int, n_series: int):
         u = eig.vectors[:, : eig.d]
@@ -413,6 +414,9 @@ class FullFit:
         elif self.mode.value == "horizontal":
             cols = slice(s * self.k, (s + 1) * self.k)
         return rows, cols
+
+    def kept(self, series_index: int = 1) -> int:
+        return 0
 
     def component_channels(self, indices, series_index: int = 1):
         from ivssa.decomposition import _component_index

@@ -15,6 +15,7 @@ from ivssa import (
     InvalidValueError,
     PairMatrix,
     ParameterError,
+    ScenarioConfig,
     ShapeError,
     StackingMode,
     decompose,
@@ -25,6 +26,7 @@ from ivssa import (
     recurrence_coefficients,
     reconstruct_ercs,
     select_from_decomposition,
+    simulate_scenario,
     stack,
     stacked_covariance,
     symbolic_covariance,
@@ -44,9 +46,11 @@ from ivssa import decomposition
 from ivssa.core import symbolic_channels
 from ivssa.decomposition import (
     _LAZY_ROWS,
+    _PROJECTION_BLOCK,
     DEFAULT_RANK_EPS,
     _averaged,
     _checked_eigh,
+    _fix_signs,
     _gap_block,
     _Hankel,
     _symmetric_product,
@@ -246,6 +250,17 @@ class TestCheckedEigh:
         stack = np.array([ok] + [bad[name] for name in order])
         with pytest.raises(InvalidValueError, match=message):
             _checked_eigh(stack, DEFAULT_RANK_EPS, nonzero=np.ones(3, dtype=bool))
+
+    def test_signs_of_a_stack_as_column_by_column(self):
+        # magnitudes tie with either sign first, and some columns are zero
+        v = make_rng(3).integers(-2, 3, size=(5, 4, 6)).astype(float)
+        v[1, :, 2] = 0.0
+        want = v.copy()
+        for m in want:
+            for col in m.T:
+                col *= -1.0 if col[np.argmax(np.abs(col))] < 0 else 1.0
+        _fix_signs(v)
+        assert v.tobytes() == want.tobytes()
 
     def test_zero_matrix_of_zero_series_has_rank_zero(self):
         stack = np.array([np.zeros((4, 4)), self.gram(1, 4)])
@@ -749,14 +764,16 @@ class TestLargeFits:
         window = _LAZY_ROWS - 1
         dec, ref = decompose(y, window), decompose_full(y, window)
         assert dec.eig._z is None and dec.d == ref.d
-        assert dec._z is None  # every component is projected
         assert np.array_equal(dec.eig.values, ref.eig.values)
         assert np.array_equal(dec.eig.vectors, ref.eig.vectors)
-        # below the threshold the fit projects every component in one
-        # build-time block, u'Z over all d eigenvectors, as the complete
-        # solve does: with the same channel arithmetic the bits agree
+        # below the threshold the fit projects on first read, u'Z over
+        # blocks of _PROJECTION_BLOCK eigenvectors from the first: with the
+        # same channel arithmetic the bits agree
+        z = _embed([symbolic_channels(y.lo, y.hi)], window, StackingMode.UNIVARIATE)
         u = ref.eig.vectors[:, : ref.d]
-        w = u.T @ _embed([symbolic_channels(y.lo, y.hi)], window, StackingMode.UNIVARIATE)
+        w = np.concatenate([
+            u[:, s : s + _PROJECTION_BLOCK].T @ z for s in range(0, ref.d, _PROJECTION_BLOCK)
+        ])
         n, k = len(y), w.shape[1] // 2
         t = np.arange(n)
         counts = np.minimum(np.minimum(t + 1, n - t), min(window, k))
@@ -769,3 +786,71 @@ class TestLargeFits:
             assert rel_rows(channel, oracle) <= 1e-10
         got = recurrence_coefficients(dec.eig, Grouping.leading(5)).alpha
         assert np.array_equal(got, recurrence_coefficients(ref.eig, Grouping.leading(5)).alpha)
+
+
+def _mc_fit(mode: str, n: int, seed: int):
+    """A fit of one Monte Carlo replication and its series: two series,
+    read through the first for a univariate fit and through both for a
+    stacked one."""
+    data = simulate_scenario(ScenarioConfig.from_name("AB"[seed % 2], n, seed))
+    if mode == "univariate":
+        return lambda: decompose(data.x), [data.x]
+    series = [data.x, data.y]
+    return lambda: decompose_stacked(series, mode=StackingMode(mode)), series
+
+
+class TestReads:
+    """What a read returns depends only on what it asks for: not on the
+    kind of iterable that names the components, nor on what was read before."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: np.array([1, 2]), lambda: (i for i in (1, 2)), lambda: np.array([2, 1])[::-1]],
+    )
+    def test_any_iterable_of_indices(self, make):
+        y = random_series(make_rng(30), 60)
+        want = decompose(y).component_channels([1, 2])
+        got = decompose(y).component_channels(make())
+        for g, w in zip(got, want):
+            assert g.shape == (2, 60) and g.tobytes() == w.tobytes()
+
+    def test_projection_order(self):
+        # a small fit projects a block of components on its first read:
+        # reading one component past the first block first, or every
+        # component first, gives the same bytes
+        y = random_series(make_rng(31), 90)
+        first, second = decompose(y, 40), decompose(y, 40)
+        d = first.d
+        assert d > _PROJECTION_BLOCK and first.eig._z is None
+        reads = [(5,), (d - 1,), range(1, d + 1)]
+        got = [first.component_channels(r) for r in reads]
+        want = [second.component_channels(r) for r in reads[::-1]][::-1]
+        for g, w in zip(got, want):
+            assert g[0].tobytes() == w[0].tobytes() and g[1].tobytes() == w[1].tobytes()
+
+    @pytest.mark.parametrize("n", [100, 250])
+    @pytest.mark.parametrize("mode", ["univariate", "vertical", "horizontal"])
+    def test_scan_is_independent_of_kept_rows(self, mode, n):
+        self.assert_scan_is_independent(*_mc_fit(mode, n, seed=n + len(mode)))
+
+    def test_scan_is_independent_of_kept_rows_in_a_gap_block_fit(self):
+        y = long_shaped(1000, seed=3)
+        assert decompose(y).eig._z is not None  # l = 501 fits a gap block
+        self.assert_scan_is_independent(lambda: decompose(y), [y])
+
+    @staticmethod
+    def assert_scan_is_independent(fit, series):
+        """The scan of each series gives the same m, convergence and KS
+        trace on a fresh fit and after reads that keep 8 and 12 rows."""
+        for s, y in enumerate(series, start=1):
+            fresh = select_from_decomposition(fit(), y, series_index=s)
+            for read in (
+                lambda dec: dec.component_channels(range(1, 9), s),
+                lambda dec: reconstruct_ercs(dec, 12),
+            ):
+                dec = fit()
+                read(dec)
+                assert dec.kept(s) >= 8
+                got = select_from_decomposition(dec, y, series_index=s)
+                assert (got.m, got.converged) == (fresh.m, fresh.converged)
+                assert np.array(got.ks_trace).tobytes() == np.array(fresh.ks_trace).tobytes()
