@@ -81,9 +81,10 @@ def symbolic_channels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     With C = (a + b)/2 and R = (b - a)/2, the symbolic weighting of endpoint
     products is a plain real product of channels:
-    (2 a a' + a b' + b a' + 2 b b')/6 = C C' + R R'/3.
+    (2 a a' + a b' + b a' + 2 b b')/6 = C C' + R R'/3.  Each endpoint is
+    halved before the sum, so no finite endpoints overflow.
     """
-    return 0.5 * (a + b), (b - a) * (0.5 / np.sqrt(3.0))
+    return 0.5 * a + 0.5 * b, (0.5 * b - 0.5 * a) * (1.0 / np.sqrt(3.0))
 
 
 def channel_endpoints(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

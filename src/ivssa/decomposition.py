@@ -11,7 +11,8 @@ Component i is the rank-one matrix u_i (u_i' Z), never formed;
 ``Decomposition.component_channels`` diagonal-averages its mid and radius
 parts, maps them back to endpoints (``channel_endpoints``) and keeps the
 leading components 1..m that every reader asks for, so each component of
-a fit is averaged once.
+a fit is averaged once.  ``_prefix_fits`` gives the fits of a series'
+prefixes in batches, each bit for bit that of ``decompose``.
 
 A fit whose S has fewer than ``_LAZY_ROWS`` rows solves for every
 eigenpair (``eigen_sym``).  A larger fit computes only what is read
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +69,12 @@ _PASSES = 12
 
 #: Components are projected this many at a time (past a large fit's gap block).
 _PROJECTION_BLOCK = 32
+
+#: Bytes of channel matrices Z and covariances S that one batch of prefix
+#: fits (``_prefix_fits``) holds: a series with more fits runs in
+#: consecutive batches of ascending fit length, so the memory of the grid
+#: search does not grow with the number of fits.
+_CHUNK_BYTES = 8 << 20
 
 #: A gap value theta_j must exceed the rank cutoff by this many l * eps *
 #: trace S, which covers the rounding of the Ritz values and of the
@@ -132,12 +139,6 @@ def stacked_covariance(
     return symbolic_covariance(stack(series, window, mode))
 
 
-def _fill(obj, **fields) -> None:
-    """Set attributes of a frozen dataclass instance."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class EigenPairs:
     """Symmetric eigendecomposition with descending eigenvalues.
@@ -165,9 +166,10 @@ class EigenPairs:
                  z: np.ndarray | None = None, rank_eps: float | None = None):
         """A complete solve, or, with Z and rank_eps given and ``values``
         and ``d`` None, the leading eigenvectors of S = Z Z' up to a gap."""
-        _fill(self, _known=vectors if d is None else vectors[:, :d], _z=z, _rank_eps=rank_eps)
+        # a frozen instance's fields, set past its __setattr__
+        self.__dict__.update(_known=vectors if d is None else vectors[:, :d], _z=z, _rank_eps=rank_eps)
         if d is not None:
-            _fill(self, _solved=(values, vectors, d))
+            self.__dict__["_solved"] = (values, vectors, d)
 
     @cached_property
     def _solved(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -284,6 +286,14 @@ def _checked_eigh(
     return values, vectors, d
 
 
+def _pairs(values: np.ndarray, vectors: np.ndarray, d: np.ndarray) -> list[EigenPairs]:
+    """The complete solve of each matrix of a ``_checked_eigh`` stack,
+    read-only, its vectors C-contiguous in one copy of the stack."""
+    vectors = vectors.copy()
+    values.flags.writeable = vectors.flags.writeable = False
+    return [EigenPairs(v, u, int(k)) for v, u, k in zip(values, vectors, d)]
+
+
 def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     """Eigendecompose a symmetric, finite matrix; deterministic for fixed input bytes.
 
@@ -291,11 +301,7 @@ def eigen_sym(s: np.ndarray, rank_eps: float = DEFAULT_RANK_EPS) -> EigenPairs:
     rank_eps * lambda_1, so a negative cutoff keeps round-off eigenvalues
     and one of 1 or more keeps none.
     """
-    values, vectors, d = _checked_eigh(np.asarray(s, dtype=float)[None], rank_eps)
-    values, vectors = values[0], vectors[0].copy()
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return EigenPairs(values=values, vectors=vectors, d=int(d[0]))
+    return _pairs(*_checked_eigh(np.asarray(s, dtype=float)[None], rank_eps))[0]
 
 
 class _Hankel:
@@ -384,17 +390,25 @@ def _averaged(
     radius: Sequence[np.ndarray],
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint channels (a, b), (len(u), len(counts)) each, of the last
-    len(counts) antidiagonal means of the rank-one components u_i [mid_i,
-    radius_i]'.  Each channel is the full convolution of u_i with its
-    projection row divided by the antidiagonal lengths ``counts``, and
-    ``channel_endpoints`` maps the two to endpoints.  Every trendline and
-    trendline tail averages through here."""
+    """Endpoint channels (a, b), (len(u), len(counts)) each, of the
+    antidiagonal means of the rank-one components u_i [mid_i, radius_i]'.
+    Each channel is the full convolution of u_i with its projection row
+    divided by the antidiagonal lengths ``counts``, and
+    ``channel_endpoints`` maps the two to endpoints.  Every trendline
+    averages through here."""
     c = np.empty((len(u), counts.size))
     r = np.empty_like(c)
-    for i, ui in enumerate(u):
-        c[i] = np.convolve(ui, mid[i])[-counts.size :]
-        r[i] = np.convolve(ui, radius[i])[-counts.size :]
+    # np.convolve(u_i, row) correlates the longer of the two with the
+    # reversed shorter; doing so here skips its per-call argument handling
+    if len(u) and len(u[0]) < len(mid[0]):
+        for i, ui in enumerate(u):
+            ui = ui[::-1]
+            c[i] = np.correlate(mid[i], ui, "full")
+            r[i] = np.correlate(radius[i], ui, "full")
+    else:
+        for i, ui in enumerate(u):
+            c[i] = np.correlate(ui, mid[i][::-1], "full")
+            r[i] = np.correlate(ui, radius[i][::-1], "full")
     return channel_endpoints(c / counts, r / counts)
 
 
@@ -457,7 +471,7 @@ class Decomposition:
                 self._w[start] = self.eig.leading(stop)[:, start:].T @ self._z
             rows.append(self._w[start][first - start : top - start])
             first = start + len(self._w[start])
-        return np.concatenate(rows)
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
     def kept(self, series_index: int = 1) -> int:
         """How many leading components of a series are averaged and kept,
@@ -479,7 +493,8 @@ class Decomposition:
         averages count+1..max(indices) in one call, and reads return copies.
         ``_averaged`` treats each row on its own, so a kept row has the bits
         a fresh one would, whatever was read before it.  A ``range`` is
-        checked by its ends, any other iterable index by index.
+        checked by its ends and read as a slice, any other iterable index by
+        index.
         """
         rows, cols = self.series_block(series_index)
         ranged = isinstance(indices, range)
@@ -487,23 +502,26 @@ class Decomposition:
         # the largest index first, so a grouping past d projects nothing
         top = _component_index(self.eig, max(checked)) if checked else 0
         idx = [_component_index(self.eig, i) - 1 for i in checked]
-        idx = range(indices.start - 1, indices.stop - 1, indices.step) if ranged else idx
-        a, b = self._rows.get(int(series_index), (np.empty((0, self.series_length)),) * 2)
-        if top > len(a):
-            w = self._projections(len(a), top).reshape(top - len(a), 2, -1)[..., cols]
-            u = self.eig.leading(top)[rows, len(a) :].T
+        if ranged:  # one slice for a range that steps up
+            start, stop, step = indices.start - 1, indices.stop - 1, indices.step
+            idx = slice(start, stop, step) if indices and step > 0 else np.arange(start, stop, step)
+        kept = self._rows.get(int(series_index))
+        count = len(kept[0]) if kept else 0
+        if top > count:
+            w = self._projections(count, top).reshape(top - count, 2, -1)[..., cols]
+            u = self.eig.leading(top)[rows, count:].T
             new = _averaged(u, w[:, 0], w[:, 1], self._counts)
-            a, b = np.vstack((a, new[0])), np.vstack((b, new[1]))
-            self._rows[int(series_index)] = (a, b)
-        return a[idx], b[idx]
+            kept = tuple(np.concatenate(pair) for pair in zip(kept, new)) if kept else new
+            self._rows[int(series_index)] = kept
+        a, b = kept or (np.empty((0, self.series_length)),) * 2
+        return a[idx].copy(), b[idx].copy()
 
     @cached_property
     def _counts(self) -> np.ndarray:
         """Antidiagonal lengths of a series' block, one per time index; kept
         because the whiteness scan reads a few components per call."""
-        n = self.series_length
-        t = np.arange(n)
-        return np.minimum(np.minimum(t + 1, n - t), min(self.window, self.k))
+        head = np.minimum(np.arange(1, self.series_length + 1), min(self.window, self.k))
+        return np.minimum(head, head[::-1])
 
 
 def _build(
@@ -543,6 +561,41 @@ def decompose(
     if window is None:
         window = default_window(len(y))
     return _build([y], _integer(window, "window"), StackingMode.UNIVARIATE, rank_eps)
+
+
+def _prefix_fits(
+    lo: np.ndarray, hi: np.ndarray, window: int, fits: Sequence[int], rank_eps: float
+) -> Iterator[list[Decomposition]]:
+    """The fits ``decompose(y[:w], window, rank_eps)`` of the prefixes of
+    the series y = (lo, hi), w in ``fits`` ascending, bit for bit, in
+    consecutive lists holding at most _CHUNK_BYTES of Z and S (at least one
+    fit each).  Only the list handed over holds its fits, so a reader that
+    drops each fit from it once read frees the fit's Z and rows then.
+
+    Below _LAZY_ROWS a list embeds each prefix once, keeps its Z for the
+    fit and solves the list's stacked S with one ``_checked_eigh``; from
+    _LAZY_ROWS on each fit is ``_build``'s.  A failing fit raises what
+    ``decompose`` would raise on it, once the lists before it are read."""
+    c, r = symbolic_channels(lo, hi)
+    nonzero = np.logical_or.accumulate((lo != 0) | (hi != 0))
+    # S (l x l) and Z (l x 2k) of the longest fit
+    size = max(1, _CHUNK_BYTES // (8 * window * (2 * fits[-1] - window + 2)))
+    for start in range(0, len(fits), size):
+        chunk = fits[start : start + size]
+        if window >= _LAZY_ROWS:
+            yield [_build([IntervalSeries(lo[:w], hi[:w])], window, StackingMode.UNIVARIATE,
+                          rank_eps) for w in chunk]
+            continue
+        zs, s = [], np.empty((len(chunk), window, window))
+        for f, w in enumerate(chunk):
+            zs.append(_embed([(c[:w], r[:w])], window, StackingMode.UNIVARIATE))
+            s[f] = _symmetric_product(zs[f])
+        eig = _checked_eigh(s, rank_eps, nonzero[np.asarray(chunk) - 1])
+        del s  # as large as the eigenvectors
+        decs = [Decomposition(StackingMode.UNIVARIATE, window, w - window + 1, 1, w, pairs, z)
+                for w, pairs, z in zip(chunk, _pairs(*eig), zs)]
+        del eig, zs
+        yield decs
 
 
 def decompose_stacked(

@@ -50,7 +50,7 @@ def _embed(
     blocks = [[_windows(x, window, k) for x in pair] for pair in pairs]
     if mode is StackingMode.VERTICAL:
         return np.concatenate([np.concatenate(pair, axis=1) for pair in blocks])
-    return np.hstack([x for x, _ in blocks] + [y for _, y in blocks])
+    return np.concatenate([x for x, _ in blocks] + [y for _, y in blocks], axis=1)
 
 
 def trajectory(y: IntervalSeries, window: int) -> PairMatrix:

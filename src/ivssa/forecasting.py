@@ -2,18 +2,13 @@
 
 One stepper, ``_run_recurrence``, advances many recurrences at once;
 ``forecast_recurrent`` is its one-row call.  The grid search runs one task
-per window l, in order, in this process, and fits the window's prefixes
-y[:w] in batches of at most 8 MB of covariance: S = Z Z' of each prefix's
-channel matrix Z (``embedding._embed`` over prefixes of the channel
-series), then one checked ``eigh`` of the batch's stacked S.  The
-recurrence weights of every m are prefix sums over the eigenvector
-columns, taken for all fits of a batch at once, and so are the failure
-reasons and the forecasts of its (w, m) rows.  Per fit, only the
-components a forecast uses are diagonal-averaged, and only the last l-1
-trendline values are kept.
-Every step uses the operations of ``decompose``, ``trendline`` and
-``recurrence_coefficients`` (which shares the prefix sums), so the grid
-search forecasts from the same bits as a per-prefix fit would.
+per window l, in order, in this process.  Its fits of the prefixes y[:w]
+are ``decomposition._prefix_fits``', each bitwise ``decompose(y[:w], l)``,
+and it reads them as ``recurrence_coefficients`` and ``trendline`` would:
+the rank, the leading eigenvectors (whose prefix sums give the recurrence
+weights of every m at once) and the last l-1 values of the components
+its forecasts use.  The weights, the failure reasons and the forecasts of
+a batch of fits run on stacked arrays.
 """
 
 from __future__ import annotations
@@ -30,28 +25,13 @@ from .core import (
     VerticalityError,
     _integer,
     phi_arrays,
-    symbolic_channels,
 )
-from .decomposition import (
-    _PROJECTION_BLOCK,
-    DEFAULT_RANK_EPS,
-    EigenPairs,
-    _averaged,
-    _component_index,
-    _checked_eigh,
-    _symmetric_product,
-)
-from .embedding import StackingMode, _embed
+from .decomposition import DEFAULT_RANK_EPS, EigenPairs, _component_index, _prefix_fits
 from .parallel import run_tasks
 from .reconstruction import Grouping
 
 #: nu^2 at or above this is treated as a vertical eigenspace (no recurrence).
 VERTICALITY_TOL = 1e-10
-
-#: Bytes of stacked covariance matrices one eigensolve of the grid search
-#: holds: a window with more fits runs in consecutive chunks of ascending
-#: fit length, so its memory does not grow with the number of fits.
-_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,72 +172,41 @@ class OosResult:
     n_windows: int
 
 
-def _trend_tails(
-    c: np.ndarray,
-    r: np.ndarray,
-    fits: np.ndarray,
-    vectors: np.ndarray,
-    d: np.ndarray,
-    top: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fits, max(top), l-1) channels of the last l-1 trendline values of
-    every fit y[:w] and leading group size, phi-ordered: [f, m-1] sums fit
-    f's first m components, for m up to top[f].  c and r are the channel
-    series of y (``symbolic_channels``).
-
-    Fit f projects the Z of its prefix on the blocks of eigenvectors that
-    hold its top[f] components, as ``decompose`` does, and averages each
-    component with ``_averaged``, the kernel of ``component_channels``; the
-    component-order prefix sum is that of ``trendline``.  So the tails are
-    bitwise those of ``trendline`` on a per-fit ``decompose``.
-    """
-    _, l, _ = vectors.shape
-    tails = np.zeros((2, len(fits), top.max(), l - 1))
-    for f, w in enumerate(fits):
-        m = top[f]
-        if not m:
-            continue
-        # a contiguous copy, laid out as ``eigen_sym`` returns it
-        u = vectors[f].copy()[:, : d[f]]
-        z = _embed([(c[:w], r[:w])], l, StackingMode.UNIVARIATE)
-        starts = range(0, m, _PROJECTION_BLOCK)
-        proj = np.vstack([u[:, s : s + _PROJECTION_BLOCK].T @ z for s in starts])
-        k = w - l + 1
-        # antidiagonal lengths of the last l-1 positions
-        counts = np.minimum(np.arange(l - 1, 0, -1), k)
-        tails[:, f, :m] = _averaged(u[:, :m].T, proj[:m, :k], proj[:m, k:], counts)
-    return phi_arrays(*np.cumsum(tails, axis=2))
-
-
-def _oos_chunk(y_lo, y_hi, c, r, window, fits, ms, p, rank_eps):
-    """(len(fits), len(ms)) forecast errors of consecutive fits of one
-    window, inf where a cell failed, and the failed cells' masks: short of
-    rank (m > d), else vertical (nu^2 ~ 1).  c and r are the channel series."""
-    s = np.empty((len(fits), window, window))
-    for f, w in enumerate(fits):
-        s[f] = _symmetric_product(_embed([(c[:w], r[:w])], window, StackingMode.UNIVARIATE))
-    nonzero = np.logical_or.accumulate((y_lo != 0) | (y_hi != 0))[fits - 1]
-    _, vectors, d = _checked_eigh(s, rank_eps, nonzero)
-    del s  # as large as the eigenvectors, and no longer needed
-    r_top = min(ms.max(), window)
-    pp, nu2 = _prefix_weights(vectors[:, :, :r_top])
+def _oos_chunk(y_lo, y_hi, decs, m_grid, p):
+    """(len(decs), len(m_grid)) forecast errors of consecutive prefix fits
+    of one window, inf where a cell failed, and the failed cells' masks:
+    short of rank (m > d), else vertical (nu^2 ~ 1).  One pass reads each
+    fit and drops it from ``decs``, so its Z and rows are freed; the
+    weights, masks and forecasts then run on stacked arrays."""
+    window = decs[0].window
+    ms, m_max = np.asarray(m_grid), max(m_grid)
+    r_top = min(m_max, window)
+    ends = np.empty(len(decs), dtype=int)
+    reach = np.empty(len(decs), dtype=int)
+    u = np.empty((len(decs), window, r_top))
+    tails = np.zeros((2, len(decs), r_top, window - 1))
+    for f in range(len(decs)):
+        dec, decs[f] = decs[f], None
+        ends[f] = dec.series_length
+        # a gap j >= max(m) lies within the rank, so reach is d wherever m > d
+        reach[f] = within = dec.eig.reach(m_max)
+        u[f] = dec.eig.leading(r_top)
+        top = max((m for m in m_grid if m <= within), default=0)
+        if top:
+            a, b = dec.component_channels(range(1, top + 1))
+            tails[0, f, :top], tails[1, f, :top] = a[:, 1 - window :], b[:, 1 - window :]
+    pp, nu2 = _prefix_weights(u)
     col = np.minimum(ms, r_top) - 1
-    rank = ms > d[:, None]
+    rank = ms > reach[:, None]
     vertical = ~rank & (nu2[:, col] >= 1.0 - VERTICALITY_TOL)
-    failed = rank | vertical
-    errors = np.full(failed.shape, np.inf)
-    fit_at, m_at = np.nonzero(~failed)
+    errors = np.full(rank.shape, np.inf)
+    fit_at, m_at = np.nonzero(~(rank | vertical))
     if fit_at.size:
-        top = np.where(failed, 0, ms).max(axis=1)
-        trend_lo, trend_hi = _trend_tails(c, r, fits, vectors, d, top)
+        trend_lo, trend_hi = phi_arrays(*np.cumsum(tails, axis=2))
         c_at = col[m_at]
-        lo, hi = _run_recurrence(
-            _alpha(pp[fit_at, :, c_at], nu2[fit_at, c_at]),
-            trend_lo[fit_at, c_at],
-            trend_hi[fit_at, c_at],
-            p,
-        )
-        ahead = fits[fit_at, None] + np.arange(p)
+        alpha = _alpha(pp[fit_at, :, c_at], nu2[fit_at, c_at])
+        lo, hi = _run_recurrence(alpha, trend_lo[fit_at, c_at], trend_hi[fit_at, c_at], p)
+        ahead = ends[fit_at, None] + np.arange(p)
         err = np.maximum(np.abs(y_lo[ahead] - lo), np.abs(y_hi[ahead] - hi))
         if not np.all(np.isfinite(err)):
             raise InvalidValueError("a recurrent forecast overflows float64")
@@ -267,24 +216,13 @@ def _oos_chunk(y_lo, y_hi, c, r, window, fits, ms, p, rank_eps):
 
 def _oos_window(args) -> tuple[np.ndarray, dict[int, str]]:
     """(len(fits), len(m_grid)) forecast errors of one window (inf where the
-    fit failed) and the first failure reason of each failed m.
-
-    Each fit y[:w] costs one embedding and Gram product, and one more
-    embedding for the projections and the diagonal averaging of the
-    components it forecasts with; the eigensolve, the recurrence weights of
-    every m, the failure reasons and the forecasts run on stacked arrays,
-    once per chunk of at most _CHUNK_BYTES of covariance matrices.  A
-    failing fit raises what ``decompose`` would raise on it; chunks run in
-    ascending fit length, and so do the checks within one."""
+    fit failed) and the first failure reason of each failed m, over the
+    batches of ``_prefix_fits``.  A failing fit raises what ``decompose``
+    would raise on it; batches run in ascending fit length, and so do the
+    checks within one."""
     y_lo, y_hi, window, fits, m_grid, p, rank_eps = args
-    fits = np.asarray(fits)
-    ms = np.asarray(m_grid)
-    c, r = symbolic_channels(y_lo, y_hi)
-    size = max(1, _CHUNK_BYTES // (8 * window * window))
-    chunks = [
-        _oos_chunk(y_lo, y_hi, c, r, window, fits[i : i + size], ms, p, rank_eps)
-        for i in range(0, len(fits), size)
-    ]
+    fits = _prefix_fits(y_lo, y_hi, window, fits, rank_eps)
+    chunks = [_oos_chunk(y_lo, y_hi, decs, m_grid, p) for decs in fits]
     errors, rank, vertical = (np.concatenate(part) for part in zip(*chunks))
     # each failed m keeps the reason of its first failing fit
     failed = rank | vertical

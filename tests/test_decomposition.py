@@ -43,7 +43,7 @@ from helpers import (
     weekly_shaped,
 )
 from ivssa import decomposition
-from ivssa.core import symbolic_channels
+from ivssa.core import channel_endpoints, symbolic_channels
 from ivssa.decomposition import (
     _LAZY_ROWS,
     _PROJECTION_BLOCK,
@@ -813,6 +813,39 @@ class TestReads:
         got = decompose(y).component_channels(make())
         for g, w in zip(got, want):
             assert g.shape == (2, 60) and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "indices", [range(2, 5), range(1, 6, 2), range(4, 0, -1), range(3, 3), range(2, -1)]
+    )
+    def test_ranges_read_as_their_lists(self, indices):
+        # a range that steps up reads as a slice of the kept rows; every
+        # range reads the rows of its list, and a read is a copy
+        y = random_series(make_rng(32), 60)
+        dec = decompose(y)
+        dec.component_channels(range(1, 7))
+        want = decompose(y).component_channels(list(indices))
+        got = dec.component_channels(indices)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            g += 1.0
+        for g, w in zip(dec.component_channels(indices), want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_averaging_is_numpy_convolve(self):
+        # the kernel correlates the longer array with the reversed shorter
+        # rather than call np.convolve; the bits must be np.convolve's with
+        # l below, at and above k, on rows strided as eigenvector columns are
+        rng = make_rng(33)
+        for l, k in [(5, 9), (7, 7), (12, 4)]:
+            u = rng.standard_normal((l, l))[:, ::-1][:, :3].T
+            w = rng.standard_normal((3, 2, k))
+            n = l + k - 1
+            t = np.arange(n)
+            counts = np.minimum(np.minimum(t + 1, n - t), min(l, k))
+            c, r = ([np.convolve(ui, wi) for ui, wi in zip(u, w[:, j])] for j in (0, 1))
+            want = channel_endpoints(np.array(c) / counts, np.array(r) / counts)
+            for got, x in zip(_averaged(u, w[:, 0], w[:, 1], counts), want):
+                assert got.tobytes() == x.tobytes()
 
     def test_projection_order(self):
         # a small fit projects a block of components on its first read:

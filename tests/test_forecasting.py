@@ -20,26 +20,17 @@ from ivssa import (
     select_params_oos,
     trendline,
 )
-from ivssa.core import symbolic_channels
-from ivssa.decomposition import DEFAULT_RANK_EPS, _checked_eigh, _symmetric_product
-from ivssa.embedding import StackingMode, _embed
-from ivssa import forecasting
+from ivssa import decomposition
+from ivssa.decomposition import DEFAULT_RANK_EPS, _prefix_fits
 from ivssa.forecasting import (
     _alpha,
     _oos_window,
     _prefix_weights,
     _recurrence,
     _run_recurrence,
-    _trend_tails,
 )
-from helpers import assert_compares_by_identity, make_rng, structured_series
+from helpers import assert_compares_by_identity, long_shaped, make_rng, structured_series
 from oracles import forecast_loop, oos_objective_loop, oos_window_loop
-
-
-def prefix_covariance(y: IntervalSeries, window: int, w: int) -> np.ndarray:
-    """S of the prefix y[:w], embedded as the grid search embeds it."""
-    c, r = symbolic_channels(y.lo, y.hi)
-    return _symmetric_product(_embed([(c[:w], r[:w])], window, StackingMode.UNIVARIATE))
 
 
 def eigenpairs_from_vectors(vectors: np.ndarray) -> EigenPairs:
@@ -99,10 +90,9 @@ class TestRecurrenceCoefficients:
             want = recurrence_coefficients(eig, Grouping.leading(4)).alpha
             assert np.array_equal(alpha, want)
             # ... and so must the batched window's weights of every leading
-            # m, read from prefix sums over its stacked eigensolve
-            s = prefix_covariance(y, 5, w)
-            _, vectors, _ = _checked_eigh(np.stack([s, s]), DEFAULT_RANK_EPS)
-            pp, nu2 = _prefix_weights(vectors[:, :, :5])
+            # m, read from prefix sums over the stacked columns of its fits
+            (fits,) = _prefix_fits(y.lo, y.hi, 5, [w, w], DEFAULT_RANK_EPS)
+            pp, nu2 = _prefix_weights(np.array([fit.eig.leading(5) for fit in fits]))
             for m in range(1, 5):
                 alpha = _alpha(pp[1, :, m - 1], nu2[1, m - 1])
                 want = recurrence_coefficients(eig, Grouping.leading(m)).alpha
@@ -409,14 +399,12 @@ def window_args(y, window, w0, p, stride, m_grid):
 
 
 def assert_window_matches_loop(args):
-    """Same inf positions, finite errors within rel 1e-12 and the same
+    """The same errors, bit for bit (inf where a fit failed), and the same
     first failure reasons as the per-fit window of ``oos_window_loop``."""
     got, got_reasons = _oos_window(args)
     want, want_reasons = oos_window_loop(args)
     assert got_reasons == want_reasons
-    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-    finite = np.isfinite(want)
-    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got, want)
     return got, got_reasons
 
 
@@ -444,12 +432,14 @@ class TestOosWindow:
 
     @pytest.mark.parametrize("window", [30, 120])
     def test_chunks_match_one_batch(self, window, monkeypatch):
-        # a budget of three matrices cuts the window's fits into chunks
-        y = structured_series(2 * window + 30, seed=5, noise=0.3)
+        # a budget of the Z and S of three of the longest fits cuts the
+        # window's fits into chunks
+        n = 2 * window + 30
+        y = structured_series(n, seed=5, noise=0.3)
         args = window_args(y, window, window + 1, 12, 1, range(1, 9))
-        monkeypatch.setattr(forecasting, "_CHUNK_BYTES", 1 << 40)
+        monkeypatch.setattr(decomposition, "_CHUNK_BYTES", 1 << 40)
         whole, whole_reasons = _oos_window(args)
-        monkeypatch.setattr(forecasting, "_CHUNK_BYTES", 3 * 8 * window**2)
+        monkeypatch.setattr(decomposition, "_CHUNK_BYTES", 3 * 8 * window * (2 * (n - 12) - window + 2))
         got, reasons = assert_window_matches_loop(args)
         assert reasons == whole_reasons
         np.testing.assert_array_equal(got, whole)
@@ -458,21 +448,32 @@ class TestOosWindow:
         "scale, match", [(1e160, "non-finite entries"), (1e-200, "underflows")]
     )
     def test_chunked_failure_is_the_first_fits(self, scale, match, monkeypatch):
-        # the values from t = 40 on make the fits from w = 41 fail: the last
-        # fit of the fifth chunk of three, after two that pass.  The loop
-        # raises the same error on that fit
+        # the values from t = 40 on make the fits from w = 41 fail: with a
+        # budget of the Z and S of three of the longest fits, the last fit of
+        # the fifth chunk of three, after two that pass.  The loop raises the
+        # same error on that fit
         y = structured_series(60, seed=2, noise=0.3)
         lo, hi = y.lo.copy(), y.hi.copy()
         lo[:40] = hi[:40] = 0.0
         lo[40:] *= scale
         hi[40:] *= scale
         args = (lo, hi, 5, list(range(27, 50)), (1, 2), 3, DEFAULT_RANK_EPS)
-        monkeypatch.setattr(forecasting, "_CHUNK_BYTES", 3 * 8 * 5**2)
+        monkeypatch.setattr(decomposition, "_CHUNK_BYTES", 3 * 8 * 5 * (2 * 49 - 5 + 2))
         with pytest.raises(InvalidValueError, match=match) as got:
             _oos_window(args)
         with pytest.raises(InvalidValueError) as want:
             oos_window_loop(args)
         assert str(got.value) == str(want.value)
+
+    def test_large_windows_match_loop(self):
+        # from _LAZY_ROWS = 400 rows on each prefix fit takes decompose's
+        # gap-block path, and the window must still match the loop exactly
+        y = long_shaped(430, 1)
+        for window in (400, 401):
+            errors, _ = assert_window_matches_loop(window_args(y, window, window + 6, 5, 3, (1, 2, 3)))
+            assert errors.shape == (7, 3) and np.isfinite(errors).all()
+        res = assert_matches_oracle(y, (400, 401), (1, 2, 3), w0=407, p=5, stride=3)
+        assert res.n_windows == 7
 
     @settings(max_examples=40)
     @given(
@@ -495,26 +496,3 @@ class TestOosWindow:
         stride = data.draw(st.integers(1, 3))
         m_grid = sorted(data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=8)))
         assert_window_matches_loop(window_args(y, window, w0, p, stride, m_grid))
-
-
-class TestTrendTails:
-    @pytest.mark.parametrize("window", [5, 20, 50])
-    def test_tails_match_component_channels(self, window):
-        # fit lengths from k = 2 < l-1 columns up to k > l-1
-        y = structured_series(100, seed=11, noise=0.3)
-        fits = np.array([window + 1, window + 2, window + 9, 2 * window, 99])
-        s = np.array([prefix_covariance(y, window, w) for w in fits])
-        _, vectors, d = _checked_eigh(s, DEFAULT_RANK_EPS)
-        top = np.minimum(d, 6)
-        c, r = symbolic_channels(y.lo, y.hi)
-        trend_lo, trend_hi = _trend_tails(c, r, fits, vectors, d, top)
-        for f, w in enumerate(fits):
-            dec = decompose(IntervalSeries(y.lo[:w], y.hi[:w]), window)
-            assert dec.d == d[f]
-            m = top[f]
-            ca, cb = dec.component_channels(range(1, m + 1))
-            want_lo = np.minimum(np.cumsum(ca, axis=0), np.cumsum(cb, axis=0))
-            want_hi = np.maximum(np.cumsum(ca, axis=0), np.cumsum(cb, axis=0))
-            # the same operations in the same order: equal, not just close
-            np.testing.assert_array_equal(trend_lo[f, :m], want_lo[:, 1 - window :])
-            np.testing.assert_array_equal(trend_hi[f, :m], want_hi[:, 1 - window :])

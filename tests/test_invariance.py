@@ -1,4 +1,5 @@
-"""Negation invariance of the whole pipeline, bit for bit.
+"""Symmetries of the decomposition: negation bit for bit, time reversal
+and the order of stacked series to rounding.
 
 Negation maps y to [-hi, -lo]: the mid channel of every interval flips sign
 and the radius does not.  S = C C' + R R'/3 is then the same matrix bit for
@@ -6,6 +7,12 @@ bit, and every later step is sign-symmetric, so the eigenvalues, d, the
 selected m, the KS trace, the recurrence weights and the grid search's
 objective table keep their bits, while components, trendlines and
 forecasts map as (a, b) -> (-b, -a).
+
+Reversing time reverses the rows and columns of the trajectory matrix, and
+swapping two stacked series permutes its row or column bands: S changes by
+a permutation, up to the order in which its sums round.  So the eigenvalues
+and d hold to rounding, and each component of a series is that of its
+swapped place, up to rounding over the component's eigengap.
 """
 
 import re
@@ -155,3 +162,59 @@ class TestNegation:
         assert same_bits(neg.eig.leading(3), dec.eig.leading(3))
         assert_fit_negates(dec, neg, [y], top=3)
         assert_spectrum_same(dec, neg)
+
+
+#: Largest eigenvalue moves, relative to lambda_1, under time reversal and
+#: under swapping two stacked series: 1.5e-15 and 2.1e-15 were the largest
+#: over 400 and 400 fits of the SHAPES below 400 points (one BLAS thread),
+#: so the bounds leave a margin of about four.
+REVERSAL_RTOL = 6e-15
+SWAP_RTOL = 8e-15
+
+#: Component i of a swapped stack moves by at most this times max|y| times
+#: lambda_1 over its eigengap (its eigenvalue's distance to the nearest
+#: other one), the Davis-Kahan form of an eigenvector's rounding; 3.5e-15
+#: was the largest over 600 stacked fits, so the bound leaves a margin of
+#: about six.
+SWAP_COMPONENT_TOL = 2e-14
+
+
+def assert_values_close(got, want, rtol: float) -> None:
+    assert got.d == want.d
+    lam1 = want.eig.values[0]
+    assert np.max(np.abs(got.eig.values - want.eig.values)) <= rtol * lam1
+
+
+class TestTimeReversal:
+    @settings(max_examples=30)
+    @given(series_and_window(max_n=399))
+    def test_spectrum(self, case):
+        y, window = case
+        rev = IntervalSeries(y.lo[::-1].copy(), y.hi[::-1].copy())
+        assert_values_close(decompose(rev, window), decompose(y, window), REVERSAL_RTOL)
+
+
+class TestSeriesOrder:
+    @settings(max_examples=15)
+    @given(
+        series_and_window(max_n=199),
+        seeds,
+        st.sampled_from([StackingMode.VERTICAL, StackingMode.HORIZONTAL]),
+    )
+    def test_swapped_stack(self, case, seed, mode):
+        x, window = case
+        ys = [x, random_series(make_rng(seed), len(x))]
+        dec = decompose_stacked(ys, window, mode)
+        swapped = decompose_stacked(ys[::-1], window, mode)
+        assert_values_close(swapped, dec, SWAP_RTOL)
+        lam = dec.eig.values
+        top = min(dec.d, 6)
+        # each component's distance to its nearest other eigenvalue
+        gaps = np.minimum(np.abs(np.diff(lam, prepend=np.inf)), np.abs(np.diff(lam, append=-np.inf)))
+        scale = max(np.max(np.abs(np.r_[y.lo, y.hi])) for y in ys)
+        tol = SWAP_COMPONENT_TOL * scale * lam[0] / gaps[:top, None]
+        for s in (1, 2):
+            want = dec.component_channels(range(1, top + 1), s)
+            got = swapped.component_channels(range(1, top + 1), 3 - s)
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= tol)

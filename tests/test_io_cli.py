@@ -591,6 +591,20 @@ class TestCliBasics:
         assert "invalid input" in res.stderr and "non-finite" in res.stderr
         assert "RuntimeWarning" not in res.stderr
 
+    @pytest.mark.parametrize("cmd", ["decompose", "select", "forecast"])
+    def test_endpoints_near_float_max_are_invalid_input(self, cmd, tmp_path, capsys):
+        # the channels halve each endpoint before adding, so they stay finite
+        # and the covariance's own check names the cause, with no numpy
+        # overflow on the way (the suite raises on one)
+        path = tmp_path / "edge.csv"
+        rows = [f"r{t},{t},{t + 1}" for t in range(9)] + ["r9,-1e308,-1e308"]
+        write_text(path, "\n".join(["label,lo,hi", *rows]) + "\n")
+        out = tmp_path / "out.json"
+        assert cli.main([cmd, "--input", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ivssa: invalid input: ") and err.count("\n") == 1
+        assert "non-finite" in err and not out.exists()
+
     def test_underflowing_covariance_is_invalid_input(self, tmp_path):
         path = tmp_path / "tiny.csv"
         y = structured_series(60, seed=12, noise=0.3)
