@@ -165,17 +165,21 @@ class TestNegation:
 
 
 #: Largest eigenvalue moves, relative to lambda_1, under time reversal and
-#: under swapping two stacked series: 1.5e-15 and 2.1e-15 were the largest
-#: over 400 and 400 fits of the SHAPES below 400 points (one BLAS thread),
-#: so the bounds leave a margin of about four.
+#: under swapping two stacked series.  Over 600 fits of the SHAPES below
+#: 400 points and 600 stacked fits below 200, each run at one and at two
+#: OpenBLAS threads, the largest were 1.6e-15 and 2.2e-15: the bounds leave
+#: a margin of about four.  They do not grow with the window: the largest
+#: moves relative to rows(S) * eps * lambda_1 (up to 1.7) came from windows
+#: of a few rows.  The tests draw derandomized examples, so a run does not
+#: hinge on a fresh draw landing within the measured range.
 REVERSAL_RTOL = 6e-15
 SWAP_RTOL = 8e-15
 
 #: Component i of a swapped stack moves by at most this times max|y| times
 #: lambda_1 over its eigengap (its eigenvalue's distance to the nearest
-#: other one), the Davis-Kahan form of an eigenvector's rounding; 3.5e-15
-#: was the largest over 600 stacked fits, so the bound leaves a margin of
-#: about six.
+#: other one), the Davis-Kahan form of an eigenvector's rounding; 3.6e-15
+#: was the largest over the same 600 stacked fits, so the bound leaves a
+#: margin of about five.
 SWAP_COMPONENT_TOL = 2e-14
 
 
@@ -186,7 +190,7 @@ def assert_values_close(got, want, rtol: float) -> None:
 
 
 class TestTimeReversal:
-    @settings(max_examples=30)
+    @settings(max_examples=30, derandomize=True)
     @given(series_and_window(max_n=399))
     def test_spectrum(self, case):
         y, window = case
@@ -195,7 +199,7 @@ class TestTimeReversal:
 
 
 class TestSeriesOrder:
-    @settings(max_examples=15)
+    @settings(max_examples=15, derandomize=True)
     @given(
         series_and_window(max_n=199),
         seeds,
